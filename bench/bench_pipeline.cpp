@@ -14,9 +14,11 @@
 // (timeouts come from free ports), the same fabric with Figure-9 partial
 // participation (the timeout-heavy case — most host-probes go to hosts
 // with no daemon and burn a full probe_timeout), and every quiescent
-// connected corpus topology under tests/corpus. Any contract violation —
-// or a window-8 speedup below 3x on the timeout-heavy scenario — makes
-// the binary exit nonzero, so CI can run it as an acceptance gate.
+// connected corpus topology under tests/corpus (the source tree's copy
+// unless --corpus names another directory). Any contract violation — a
+// window-8 speedup below 3x on the timeout-heavy scenario, or a corpus
+// directory that is unreadable or yields no scenario — makes the binary
+// exit nonzero, so CI can run it as an acceptance gate.
 //
 // Results are emitted to BENCH_pipeline.json via JsonReport.
 #include <algorithm>
@@ -56,7 +58,8 @@ mapper::MapResult run_window(const Scenario& s, int window) {
 
 int main(int argc, char** argv) {
   common::Flags flags;
-  flags.define("corpus", "tests/corpus", "directory of .sancase topologies");
+  flags.define("corpus", SANMAP_CORPUS_DIR,
+               "directory of .sancase topologies");
   flags.define("participants", "5",
                "daemons running in the timeout-heavy scenario");
   flags.define("smoke", "false",
@@ -107,8 +110,10 @@ int main(int argc, char** argv) {
     std::sort(paths.begin(), paths.end());
     if (ec) {
       std::cerr << "corpus directory unreadable: " << flags.get("corpus")
-                << " (" << ec.message() << ") — corpus scenarios skipped\n";
+                << " (" << ec.message() << ")\n";
+      return 1;
     }
+    const std::size_t fixed = scenarios.size();
     for (const auto& path : paths) {
       const verify::ScenarioCase c = verify::read_case_file(path.string());
       // Equivalence is defined on quiescent sessions; search_depth needs a
@@ -122,6 +127,11 @@ int main(int argc, char** argv) {
       s.network = c.network;
       s.mapper_host = c.mapper_node();
       scenarios.push_back(std::move(s));
+    }
+    if (scenarios.size() == fixed) {
+      std::cerr << "corpus directory " << flags.get("corpus")
+                << " yields no quiescent connected scenario\n";
+      return 1;
     }
   }
 

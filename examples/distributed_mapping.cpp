@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
   mapper::ParallelConfig config;
   const auto count = std::min<std::size_t>(
       static_cast<std::size_t>(flags.get_int("mappers")), hosts.size());
+  const int depth = static_cast<int>(flags.get_int("depth"));
   for (std::size_t i = 0; i < count; ++i) {
-    config.mappers.push_back(hosts[i * hosts.size() / count]);
+    config.mappers.push_back({hosts[i * hosts.size() / count], depth});
   }
-  config.local_depth = static_cast<int>(flags.get_int("depth"));
   const auto result = mapper::ParallelMapper(net, config).run();
 
   common::Table table({"local mapper", "probes", "time (ms)", "partial map"});

@@ -1,6 +1,7 @@
 #include "mapper/parallel_mapper.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 #include "mapper/berkeley_mapper.hpp"
@@ -12,10 +13,21 @@ ParallelMapper::ParallelMapper(simnet::Network& net, ParallelConfig config)
     : net_(&net), config_(std::move(config)) {
   SANMAP_CHECK_MSG(!config_.mappers.empty(),
                    "parallel mapping needs at least one mapper host");
-  SANMAP_CHECK(config_.local_depth >= 1);
-  for (const topo::NodeId m : config_.mappers) {
-    SANMAP_CHECK(net.topology().node_alive(m) && net.topology().is_host(m));
+  for (const LocalMapper& m : config_.mappers) {
+    SANMAP_CHECK(m.depth >= 1);
+    SANMAP_CHECK(net.topology().node_alive(m.host) &&
+                 net.topology().is_host(m.host));
   }
+}
+
+ParallelConfig regional_config(const RegionPlan& plan) {
+  ParallelConfig config;
+  config.mappers.reserve(plan.regions.size());
+  for (const Region& region : plan.regions) {
+    config.mappers.push_back({region.mapper, region.depth});
+  }
+  config.pipeline_window = kRegionalPipelineWindow;
+  return config;
 }
 
 ParallelMapResult ParallelMapper::run() {
@@ -30,20 +42,20 @@ ParallelMapResult ParallelMapper::run() {
   // mapper: with pipeline_window >= 2 the local exploration itself keeps a
   // bounded window of probes in flight (probe::ProbePipeline), so each
   // local time is a genuinely overlapped-window time, not a serial sum.
-  for (const topo::NodeId mapper_host : config_.mappers) {
-    probe::ProbeEngine engine(*net_, mapper_host);
+  for (const LocalMapper& mapper : config_.mappers) {
+    probe::ProbeEngine engine(*net_, mapper.host);
     MapperConfig config;
-    config.search_depth = config_.local_depth;
+    config.search_depth = mapper.depth;
     config.port_order_heuristic = config_.port_order_heuristic;
     config.skip_known_ports = config_.skip_known_ports;
     config.pipeline_window = config_.pipeline_window;
-    const MapResult local = BerkeleyMapper(engine, config).run();
+    MapResult local = BerkeleyMapper(engine, config).run();
     result.locals.push_back(ParallelMapResult::Local{
-        mapper_host, local.elapsed, local.probes.total(),
+        mapper.host, local.elapsed, local.probes.total(),
         local.map.num_nodes()});
     result.total_probes += local.probes.total();
     result.elapsed = std::max(result.elapsed, local.elapsed);
-    partials.push_back(local.map);
+    partials.push_back(std::move(local.map));
   }
 
   result.map = merge_partial_maps(partials, &result.merge);

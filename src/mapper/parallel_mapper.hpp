@@ -8,7 +8,14 @@
 // times plus a merge charge, not the sum — that is the performance
 // potential §6 describes. Correctness requires coverage: every switch must
 // lie within some mapper's exploration ball, or the merged map will
-// (faithfully) miss the uncovered region.
+// (faithfully) miss the uncovered region. The region planner
+// (partition_fabric) picks seeds and per-region depths that guarantee it;
+// regional_config() turns its plan into the configuration every regional
+// mapping runs with.
+//
+// The merged map is not certified here. Callers that publish it route and
+// certify it like any other map (service::build_snapshot and the
+// MapCatalog publish gate).
 #pragma once
 
 #include <vector>
@@ -16,17 +23,23 @@
 #include "common/sim_time.hpp"
 #include "mapper/map_result.hpp"
 #include "mapper/partial_merge.hpp"
+#include "mapper/partition.hpp"
 #include "simnet/network.hpp"
 
 namespace sanmap::mapper {
 
+/// One active local mapper: its host and its exploration depth
+/// (probe-string length bound). Depths are small by design — that is where
+/// the savings come from.
+struct LocalMapper {
+  topo::NodeId host = topo::kInvalidNode;
+  int depth = 4;
+};
+
 struct ParallelConfig {
-  /// The hosts running active local mappers (all hosts still answer
-  /// host-probes as passive responders).
-  std::vector<topo::NodeId> mappers;
-  /// Per-mapper exploration depth (probe-string length bound). Small by
-  /// design — that is where the savings come from.
-  int local_depth = 4;
+  /// The local mappers (all hosts still answer host-probes as passive
+  /// responders).
+  std::vector<LocalMapper> mappers;
   /// Heuristics for the local mappers.
   bool port_order_heuristic = true;
   bool skip_known_ports = true;
@@ -56,8 +69,18 @@ struct ParallelMapResult {
   PartialMergeStats merge;
 };
 
+/// Outstanding-probe window of every regional session.
+inline constexpr int kRegionalPipelineWindow = 8;
+
+/// The regional mapping configuration: one local mapper per planned region
+/// (its seed host at its region depth), each with a
+/// kRegionalPipelineWindow window.
+ParallelConfig regional_config(const RegionPlan& plan);
+
 class ParallelMapper {
  public:
+  /// The sessions run on `net`, so they see its collision model and any
+  /// fault schedule attached to it.
   ParallelMapper(simnet::Network& net, ParallelConfig config);
 
   ParallelMapResult run();

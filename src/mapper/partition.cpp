@@ -1,4 +1,4 @@
-#include "federation/partition.hpp"
+#include "mapper/partition.hpp"
 
 #include <algorithm>
 #include <deque>
@@ -7,7 +7,7 @@
 
 #include "topology/algorithms.hpp"
 
-namespace sanmap::federation {
+namespace sanmap::mapper {
 
 namespace {
 
@@ -44,6 +44,14 @@ NodeId resolve_host(const Topology& t, const std::string& name,
                              " names no host: " + name);
   }
   return *host;
+}
+
+/// "r<index>", built by appending: GCC 12 at -O3 misreads the inlined
+/// `"r" + std::to_string(index)` as an overlapping memcpy (-Wrestrict).
+std::string default_region_name(std::size_t index) {
+  std::string name(1, 'r');
+  name += std::to_string(index);
+  return name;
 }
 
 /// Greedy k-center seed spread: start from the anchor, then repeatedly take
@@ -168,7 +176,7 @@ RegionPlan partition_fabric(const topo::Topology& fabric,
     seeds = spread_seeds(fabric, anchor, spec.auto_regions, component,
                          component[anchor]);
     for (std::size_t i = 0; i < seeds.size(); ++i) {
-      names.push_back("r" + std::to_string(i));
+      names.push_back(default_region_name(i));
     }
   } else {
     for (const RegionSpec& region : spec.regions) {
@@ -184,7 +192,7 @@ RegionPlan partition_fabric(const topo::Topology& fabric,
       }
       seeds.push_back(seed);
       names.push_back(region.name.empty()
-                          ? "r" + std::to_string(seeds.size() - 1)
+                          ? default_region_name(seeds.size() - 1)
                           : region.name);
     }
   }
@@ -242,7 +250,7 @@ RegionPlan partition_fabric(const topo::Topology& fabric,
 
   // Per-region depth: cover every assigned switch *and* its nearest host
   // anchor (an un-anchored fringe switch would be cored out of the partial
-  // map), plus the overlap margin that buys the boundary resolver shared
+  // map), plus the overlap margin that buys the partial-map merge shared
   // evidence with the neighbouring regions.
   for (std::size_t r = 0; r < seeds.size(); ++r) {
     Region& region = plan.regions[r];
@@ -273,4 +281,4 @@ RegionPlan partition_fabric(const topo::Topology& fabric,
   return plan;
 }
 
-}  // namespace sanmap::federation
+}  // namespace sanmap::mapper

@@ -1,9 +1,9 @@
-// Fabric partitioning for sharded federated mapping (ROADMAP: "Sharded
-// federated mapping"; QSPN/Netsukuku is the distributed-discovery exemplar).
+// Region planning for regional mapping (ParallelMapper; QSPN/Netsukuku is
+// the distributed-discovery exemplar).
 //
-// A federation spec names one mapper seed host per region — explicitly
-// ("podA=P0.h0,podB=P1.h0") or by count ("auto:4", a greedy k-center sweep
-// over the anchor host's component). The partitioner then grows regions
+// A region spec (`--federate`) names one mapper seed host per region —
+// explicitly ("podA=P0.h0,podB=P1.h0") or by count ("auto:4", a greedy
+// k-center sweep over the anchor host's component). The partitioner then grows regions
 // from the seeds by multi-source BFS over the fabric: every switch of the
 // seeds' component is assigned to its nearest seed (ties to the lower
 // region index, so plans are deterministic), and every host follows its
@@ -12,7 +12,7 @@
 // Each region also receives a probe depth for its local mapper. The depth
 // must cover more than the region itself: a depth-bounded Berkeley session
 // cores its ball, so an assigned switch whose host anchor lies outside the
-// ball would be shed as separated — and the boundary resolver can only fuse
+// ball would be shed as separated — and merge_partial_maps can only fuse
 // switches that at least two regions observed with shared host evidence.
 // The planner therefore charges, per assigned switch, the distance from the
 // seed plus the switch's own distance to its nearest host, plus a
@@ -27,7 +27,7 @@
 
 #include "topology/topology.hpp"
 
-namespace sanmap::federation {
+namespace sanmap::mapper {
 
 /// One region request: a mapper seed host, with an optional display name.
 struct RegionSpec {
@@ -65,8 +65,8 @@ struct Region {
 
 struct RegionPlan {
   std::vector<Region> regions;
-  /// Switches with a neighbour assigned to a different region — the set the
-  /// boundary resolver must reconcile.
+  /// Switches with a neighbour assigned to a different region — the set
+  /// merge_partial_maps must reconcile.
   std::size_t boundary_switches = 0;
   /// Switches of the seed component left unassigned (never happens for a
   /// connected component; kept as a self-check counter).
@@ -88,4 +88,4 @@ RegionPlan partition_fabric(const topo::Topology& fabric,
                             const FederationSpec& spec,
                             const PartitionOptions& options = {});
 
-}  // namespace sanmap::federation
+}  // namespace sanmap::mapper

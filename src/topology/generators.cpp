@@ -9,6 +9,14 @@ namespace sanmap::topo {
 
 namespace {
 
+/// "<prefix><n>", built by appending to a std::string. GCC 12 at -O3
+/// misreads the inlined `const char* + std::string&&` overload as an
+/// overlapping memcpy (-Wrestrict), so node names are never built that way.
+std::string numbered(std::string prefix, int n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 /// Per-subcluster shape parameters. Derived so that the generated component
 /// counts match the paper's Figure 3 exactly (see header comment).
 struct SubclusterShape {
@@ -174,8 +182,7 @@ Topology now_cluster(const NowOptions& options) {
 
   // Optional shared roots spanning every subcluster.
   for (int e = 0; e < options.extra_roots; ++e) {
-    const NodeId shared =
-        topo.add_switch("xroot" + std::to_string(e));
+    const NodeId shared = topo.add_switch(numbered("xroot", e));
     for (const auto& roots : cluster_roots) {
       for (const NodeId r : roots) {
         if (topo.free_port(shared) && topo.free_port(r)) {
@@ -215,7 +222,7 @@ Topology hypercube(int dim, int hosts_per_switch) {
   std::vector<NodeId> switches;
   switches.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    switches.push_back(topo.add_switch("cube" + std::to_string(i)));
+    switches.push_back(topo.add_switch(numbered("cube", i)));
   }
   // Dimension b uses port b on both ends — the canonical hypercube wiring.
   for (int i = 0; i < n; ++i) {
@@ -230,7 +237,7 @@ Topology hypercube(int dim, int hosts_per_switch) {
   int host_index = 0;
   for (int i = 0; i < n; ++i) {
     for (int h = 0; h < hosts_per_switch; ++h) {
-      const NodeId host = topo.add_host("h" + std::to_string(host_index++));
+      const NodeId host = topo.add_host(numbered("h", host_index++));
       topo.connect(host, 0, switches[static_cast<std::size_t>(i)], dim + h);
     }
   }
@@ -257,7 +264,7 @@ Topology grid(int width, int height, int hosts_per_switch, bool wrap) {
     for (int x = 0; x < width; ++x) {
       sw[static_cast<std::size_t>(y) * static_cast<std::size_t>(width) +
          static_cast<std::size_t>(x)] =
-          topo.add_switch("g" + std::to_string(x) + "_" + std::to_string(y));
+          topo.add_switch(numbered(numbered("g", x) + "_", y));
     }
   }
   // Port convention: 0 = east, 1 = west, 2 = south, 3 = north.
@@ -279,7 +286,7 @@ Topology grid(int width, int height, int hosts_per_switch, bool wrap) {
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
       for (int h = 0; h < hosts_per_switch; ++h) {
-        const NodeId host = topo.add_host("h" + std::to_string(host_index++));
+        const NodeId host = topo.add_host(numbered("h", host_index++));
         topo.connect(host, 0, at(x, y), 4 + h);
       }
     }
@@ -304,7 +311,7 @@ Topology ring(int num_switches, int hosts_per_switch) {
   std::vector<NodeId> sw;
   sw.reserve(static_cast<std::size_t>(num_switches));
   for (int i = 0; i < num_switches; ++i) {
-    sw.push_back(topo.add_switch("r" + std::to_string(i)));
+    sw.push_back(topo.add_switch(numbered("r", i)));
   }
   for (int i = 0; i < num_switches; ++i) {
     // Port 0 = clockwise, port 1 = counter-clockwise.
@@ -314,7 +321,7 @@ Topology ring(int num_switches, int hosts_per_switch) {
   int host_index = 0;
   for (int i = 0; i < num_switches; ++i) {
     for (int h = 0; h < hosts_per_switch; ++h) {
-      const NodeId host = topo.add_host("h" + std::to_string(host_index++));
+      const NodeId host = topo.add_host(numbered("h", host_index++));
       topo.connect(host, 0, sw[static_cast<std::size_t>(i)], 2 + h);
     }
   }
@@ -328,10 +335,10 @@ Topology star(int leaves, int hosts_per_leaf) {
   const NodeId center = topo.add_switch("center");
   int host_index = 0;
   for (int i = 0; i < leaves; ++i) {
-    const NodeId leaf = topo.add_switch("leaf" + std::to_string(i));
+    const NodeId leaf = topo.add_switch(numbered("leaf", i));
     topo.connect(leaf, 0, center, i);
     for (int h = 0; h < hosts_per_leaf; ++h) {
-      const NodeId host = topo.add_host("h" + std::to_string(host_index++));
+      const NodeId host = topo.add_host(numbered("h", host_index++));
       topo.connect(host, 0, leaf, 1 + h);
     }
   }
@@ -352,13 +359,13 @@ Topology fat_tree(const FatTreeOptions& options) {
                                : options.switches_per_upper_level;
     for (int i = 0; i < count; ++i) {
       level[static_cast<std::size_t>(l)].push_back(topo.add_switch(
-          "L" + std::to_string(l) + "." + std::to_string(i)));
+          numbered(numbered("L", l) + ".", i)));
     }
   }
   int host_index = 0;
   for (const NodeId leaf : level[0]) {
     for (int h = 0; h < options.hosts_per_leaf; ++h) {
-      const NodeId host = topo.add_host("h" + std::to_string(host_index++));
+      const NodeId host = topo.add_host(numbered("h", host_index++));
       topo.connect_any(host, leaf);
     }
   }
@@ -432,11 +439,11 @@ Topology multi_pod(const MultiPodOptions& options) {
   Topology topo;
   std::vector<NodeId> spines;
   for (int s = 0; s < options.spines; ++s) {
-    spines.push_back(topo.add_switch("spine" + std::to_string(s)));
+    spines.push_back(topo.add_switch(numbered("spine", s)));
   }
   int root_counter = 0;  // global root order for the windowed spine spread
   for (int p = 0; p < options.pods; ++p) {
-    const std::string prefix = "P" + std::to_string(p) + ".";
+    const std::string prefix = numbered("P", p) + ".";
     std::vector<NodeId> roots;
     for (int r = 0; r < options.pod_roots; ++r) {
       roots.push_back(topo.add_switch(prefix + "R" + std::to_string(r)));
@@ -515,15 +522,14 @@ Topology mega_fat_tree(const MegaFatTreeOptions& options) {
     std::vector<NodeId> row;
     row.reserve(static_cast<std::size_t>(width));
     for (int i = 0; i < width; ++i) {
-      row.push_back(topo.add_switch("L" + std::to_string(l) + "." +
-                                    std::to_string(i)));
+      row.push_back(topo.add_switch(numbered(numbered("L", l) + ".", i)));
     }
     level.push_back(std::move(row));
   }
   int host_index = 0;
   for (const NodeId leaf : level[0]) {
     for (int h = 0; h < options.hosts_per_leaf; ++h) {
-      const NodeId host = topo.add_host("h" + std::to_string(host_index++));
+      const NodeId host = topo.add_host(numbered("h", host_index++));
       topo.connect_any(host, leaf);
     }
   }
@@ -570,8 +576,7 @@ Topology dragonfly_ish(const DragonflyishOptions& options, common::Rng& rng) {
     auto& row = group[static_cast<std::size_t>(g)];
     row.reserve(s_count);
     for (int s = 0; s < options.switches_per_group; ++s) {
-      row.push_back(topo.add_switch("G" + std::to_string(g) + "." +
-                                    std::to_string(s)));
+      row.push_back(topo.add_switch(numbered(numbered("G", g) + ".", s)));
     }
     // Deterministic skeleton 1: the local ring.
     for (std::size_t s = 0; s < s_count; ++s) {
@@ -579,8 +584,7 @@ Topology dragonfly_ish(const DragonflyishOptions& options, common::Rng& rng) {
     }
     // Hosts spread round-robin over the ring.
     for (int h = 0; h < options.hosts_per_group; ++h) {
-      const NodeId host = topo.add_host("G" + std::to_string(g) + ".h" +
-                                        std::to_string(h));
+      const NodeId host = topo.add_host(numbered(numbered("G", g) + ".h", h));
       topo.connect_any(host, row[static_cast<std::size_t>(h) % s_count]);
     }
   }
@@ -727,7 +731,7 @@ Topology with_switch_tail(int body_switches, int body_hosts,
   SANMAP_CHECK_MSG(anchor != kInvalidNode, "no free port to attach tail");
   NodeId prev = anchor;
   for (int i = 0; i < tail_switches; ++i) {
-    const NodeId next = topo.add_switch("tail" + std::to_string(i));
+    const NodeId next = topo.add_switch(numbered("tail", i));
     topo.connect_any(prev, next);
     prev = next;
   }

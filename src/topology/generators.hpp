@@ -107,8 +107,8 @@ Topology fat_tree(const FatTreeOptions& options);
 /// A multi-pod cluster: `pods` fig5-like pods (leaf switches carrying
 /// hosts, uplinked to per-pod root switches) joined by a host-free spine
 /// layer — the canonical fabric with real region boundaries (every
-/// pod-root-to-spine wire crosses one). The federation bench and the
-/// federated-iso oracle sweep region counts over it.
+/// pod-root-to-spine wire crosses one). bench_regional reports region
+/// counts over it, and the fuzz corpus carries one for regional-iso.
 struct MultiPodOptions {
   int pods = 3;
   int leaf_switches_per_pod = 3;

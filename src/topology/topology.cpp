@@ -9,7 +9,12 @@ namespace sanmap::topo {
 NodeId Topology::add_node(NodeKind node_kind, std::string node_name) {
   const auto id = static_cast<NodeId>(nodes_.size());
   if (node_name.empty()) {
-    node_name = (node_kind == NodeKind::kHost ? "h" : "s") + std::to_string(id);
+    // Built by appending to a fresh string: GCC 12 at -O3 misreads both
+    // `"h" + std::to_string(id)` and assigning a literal to the parameter
+    // as overlapping memcpys (-Wrestrict).
+    std::string generated(1, node_kind == NodeKind::kHost ? 'h' : 's');
+    generated += std::to_string(id);
+    node_name = std::move(generated);
   }
   if (node_kind == NodeKind::kHost) {
     SANMAP_CHECK_MSG(!host_by_name_.contains(node_name),

@@ -143,8 +143,10 @@ void ConservationChecker::finish() {
     in_flight_ = false;
   }
   if (suppressed_ > 0) {
-    violations_.push_back("(" + std::to_string(suppressed_) +
-                          " further violations suppressed)");
+    std::string note(1, '(');
+    note += std::to_string(suppressed_);
+    note += " further violations suppressed)";
+    violations_.push_back(std::move(note));
     suppressed_ = 0;
   }
 }

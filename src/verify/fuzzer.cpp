@@ -113,10 +113,10 @@ std::vector<ScenarioCase> builtin_corpus() {
 
   corpus.push_back(make_case("parallel-cables", parallel_cable_net()));
 
-  // The federation workload: pods with real region boundaries joined by a
-  // host-free spine layer. Exercises the federated-iso oracle on the shape
-  // it was built for (and every other oracle on a spine whose switches sit
-  // two hops from their nearest host anchor).
+  // The regional-mapping workload: pods with real region boundaries joined
+  // by a host-free spine layer. Exercises the regional-iso oracle on the
+  // shape it was built for (and every other oracle on a spine whose
+  // switches sit two hops from their nearest host anchor).
   {
     topo::MultiPodOptions mp;
     mp.pods = 3;

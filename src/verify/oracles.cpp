@@ -10,9 +10,9 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/incremental.hpp"
-#include "federation/federated_mapper.hpp"
 #include "mapper/berkeley_mapper.hpp"
 #include "mapper/incremental.hpp"
+#include "mapper/parallel_mapper.hpp"
 #include "mapper/robust_mapper.hpp"
 #include "myricom/myricom_mapper.hpp"
 #include "probe/probe_engine.hpp"
@@ -766,22 +766,21 @@ void run_incremental_lint_oracle(const ScenarioCase& c,
   }
 }
 
-// Federated mapping loses nothing: shard the mapper's component into
-// auto-partitioned regions anchored at the mapper host, run the concurrent
-// per-region sessions plus boundary resolution, and demand the merged model
-// be Theorem-1 isomorphic to the monolithic truth core(C) — and certified.
-// For faulted (flap-free) cases the oracle runs over the settled surviving
-// fabric: the federation maps what the faults left standing, and the truth
-// is that fabric's core.
-void run_federated_oracle(const ScenarioCase& c, const OracleOptions& options,
-                          NodeId mapper, OracleReport& report) {
-  if (!options.federated) {
-    report.skipped.push_back("federated-iso: disabled");
+// Regional mapping loses nothing: plan auto regions anchored at the mapper
+// host, run one depth-bounded session per region through ParallelMapper,
+// and demand the merged map be Theorem-1 isomorphic to the monolithic truth
+// core(C). For faulted (flap-free) cases the oracle runs over the settled
+// surviving fabric: the regions map what the faults left standing, and the
+// truth is that fabric's core.
+void run_regional_oracle(const ScenarioCase& c, const OracleOptions& options,
+                         NodeId mapper, OracleReport& report) {
+  if (!options.regional) {
+    report.skipped.push_back("regional-iso: disabled");
     return;
   }
   if (c.has_flap()) {
     report.skipped.push_back(
-        "federated-iso: flapping timeline (no quiescent instant to shard at)");
+        "regional-iso: flapping timeline (no quiescent instant to map at)");
     return;
   }
   Topology fabric = c.network;
@@ -794,61 +793,40 @@ void run_federated_oracle(const ScenarioCase& c, const OracleOptions& options,
     settle += common::SimTime::ms(1);
     fabric = schedule.surviving(c.network, settle);
     if (mapper >= fabric.node_capacity() || !fabric.node_alive(mapper)) {
-      report.skipped.push_back("federated-iso: mapper host itself failed");
+      report.skipped.push_back("regional-iso: mapper host itself failed");
       return;
     }
   }
   const Topology local = component_of(fabric, mapper);
   if (local.num_switches() == 0) {
-    report.skipped.push_back("federated-iso: switchless component");
+    report.skipped.push_back("regional-iso: switchless component");
     return;
   }
 
-  federation::FederationConfig config;
-  config.spec.auto_regions =
-      std::max(1, std::min(options.federated_regions,
-                           static_cast<int>(local.num_hosts())));
-  config.spec.anchor_host = fabric.name(mapper);
-  config.collision = c.collision;
-  config.max_explorations = options.max_explorations;
-  config.route_seed = options.route_seed;
-  config.sabotage_skip_merges = options.sabotage_skip_merges;
-
-  bool have_result = false;
-  federation::FederatedResult result;
+  mapper::FederationSpec spec;
+  spec.auto_regions = std::max(
+      1, std::min(options.regions, static_cast<int>(local.num_hosts())));
+  spec.anchor_host = fabric.name(mapper);
+  mapper::ParallelMapResult result;
   try {
-    federation::FederatedMapper federated(fabric, config);
-    result = federated.run();
-    have_result = true;
+    simnet::Network net(fabric, c.collision);
+    result = mapper::ParallelMapper(
+                 net, mapper::regional_config(
+                          mapper::partition_fabric(fabric, spec)))
+                 .run();
   } catch (const std::exception& e) {
-    report.violations.push_back({"federated-crash", e.what()});
-  }
-  if (!have_result) {
+    report.violations.push_back({"regional-crash", e.what()});
     return;
   }
 
   const Topology truth = topo::core(local);
   if (!topo::isomorphic(result.map, truth)) {
     report.violations.push_back(
-        {"federated-iso",
+        {"regional-iso",
          "merged map " + describe(result.map) +
              " is not isomorphic to the monolithic core " + describe(truth) +
-             " (" + std::to_string(result.regions.size()) + " regions, " +
-             std::to_string(result.boundary_conflicts) +
-             " boundary fusions)"});
-    return;
-  }
-  // A correct merge must also certify: the truth core is connected and
-  // routable, so any uncertified_reason here is a federation bug, not an
-  // operational condition.
-  if (truth.num_hosts() >= 1 && truth.num_switches() >= 1 &&
-      !result.certified) {
-    report.violations.push_back(
-        {"federated-certify",
-         "merged map matches the monolithic core but failed certification: " +
-             (result.uncertified_reasons.empty()
-                  ? std::string("(no reason recorded)")
-                  : result.uncertified_reasons.front())});
+             " (" + std::to_string(result.locals.size()) + " regions, " +
+             std::to_string(result.merge.merges) + " boundary fusions)"});
   }
 }
 
@@ -873,7 +851,7 @@ OracleReport run_oracles(const ScenarioCase& c, const OracleOptions& options) {
     run_incremental_oracle(c, options, mapper, depth, report);
   }
   run_incremental_lint_oracle(c, options, mapper, report);
-  run_federated_oracle(c, options, mapper, report);
+  run_regional_oracle(c, options, mapper, report);
   return report;
 }
 

@@ -43,16 +43,17 @@
 //                     fault landing inside [stable_since, elapsed] — the
 //                     session's blind window, where no mapper could have
 //                     observed the change.
-//  * federated-iso   — sharded mapping loses nothing: a FederatedMapper run
-//                     (auto-partitioned regions anchored at the mapper host,
-//                     concurrent per-region sessions, boundary resolution,
-//                     recomputed routes) produces a merged map Theorem-1
-//                     isomorphic to the monolithic truth core(C) — and the
-//                     merged model is *certified* (analyzer-clean, both
-//                     certificates re-checked). On a flap-free faulted case
-//                     the oracle runs on the settled surviving fabric, so
-//                     fault schedules are covered too; flap timelines are a
-//                     skip (no quiescent instant to shard at).
+//  * regional-iso    — regional mapping loses nothing: planner +
+//                     ParallelMapper (auto regions anchored at the mapper
+//                     host, one depth-bounded session per region, partial
+//                     maps merged) produces a merged map Theorem-1
+//                     isomorphic to the monolithic truth core(C). A map
+//                     isomorphic to core(C) certifies exactly when the
+//                     Berkeley map does, so the analysis oracles cover its
+//                     certificates. On a flap-free faulted case the oracle
+//                     runs on the settled surviving fabric, so fault
+//                     schedules are covered too; flap timelines are a skip
+//                     (no quiescent instant to map at).
 //  * incremental-lint-equiv — the incremental static analyzer is exact:
 //                     prime an analysis::AnalysisState on the pre-fault
 //                     mapper-component core, reanalyze the settled surviving
@@ -102,8 +103,7 @@ struct Violation {
   /// "conservation", "pipeline-equiv", "pipeline-crash", "robust-iso",
   /// "robust-crash", "incremental-equiv", "incremental-crash",
   /// "incremental-lint-equiv", "incremental-lint-cert",
-  /// "incremental-lint-crash", "federated-iso", "federated-certify",
-  /// "federated-crash".
+  /// "incremental-lint-crash", "regional-iso", "regional-crash".
   std::string oracle;
   std::string detail;
 };
@@ -130,11 +130,11 @@ struct OracleOptions {
   bool robust = true;
   bool incremental = true;
   bool incremental_lint = true;
-  bool federated = true;
+  bool regional = true;
 
-  /// federated-iso: regions to shard the mapper's component into (clamped
-  /// to its host count).
-  int federated_regions = 3;
+  /// regional-iso: regions to plan over the mapper's component (clamped to
+  /// its host count).
+  int regions = 3;
 
   /// incremental-equiv: BFS expansion around the event-touched switches
   /// when deriving the dirty region (mirrors RefreshConfig::dirty_radius).

@@ -397,9 +397,9 @@ TEST(RouteLints, ParallelCableSkewFires) {
   const auto w1 = t.connect(s1, 6, s2, 6);
   const auto w2 = t.connect(s1, 7, s2, 7);
   for (int i = 0; i < 3; ++i) {
-    const auto h = t.add_host("a" + std::to_string(i));
+    const auto h = t.add_host(std::string("a").append(std::to_string(i)));
     t.connect(h, 0, s1, static_cast<topo::Port>(i));
-    const auto g = t.add_host("b" + std::to_string(i));
+    const auto g = t.add_host(std::string("b").append(std::to_string(i)));
     t.connect(g, 0, s2, static_cast<topo::Port>(i));
   }
   auto routes = routing::compute_updown_routes(t, {}, 1);

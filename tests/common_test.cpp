@@ -378,10 +378,10 @@ TEST(ThreadPool, SubmitFutureCarriesWorkerException) {
 }
 
 TEST(ThreadPool, ParallelForJoinsEveryTaskBeforeRethrowing) {
-  // The contract FederatedMapper's no-deadlock argument rests on: a
-  // throwing task must not abandon its siblings — parallel_for joins ALL
-  // futures first, then rethrows the first exception. Every non-throwing
-  // index observably completed even though index 3 threw.
+  // The no-deadlock contract batch callers rest on: a throwing task must
+  // not abandon its siblings — parallel_for joins ALL futures first, then
+  // rethrows the first exception. Every non-throwing index observably
+  // completed even though index 3 threw.
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(32);
   EXPECT_THROW(pool.parallel_for(32,

@@ -131,12 +131,14 @@ TEST(ExhaustivePatterns, EverySwitchOccupancyFromEveryEntryPort) {
           continue;
         }
         if (extras % 2 == 0) {
-          const NodeId h = t.add_host("h" + std::to_string(p));
+          const NodeId h =
+              t.add_host(std::string("h").append(std::to_string(p)));
           t.connect(h, 0, sw, p);
         } else {
           const NodeId stub = t.add_switch();
           t.connect(stub, 3, sw, p);
-          const NodeId h = t.add_host("s" + std::to_string(p));
+          const NodeId h =
+              t.add_host(std::string("s").append(std::to_string(p)));
           t.connect(h, 0, stub, 5);
         }
         ++extras;

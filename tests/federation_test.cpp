@@ -1,37 +1,42 @@
-// Tests for the sharded federated mapping subsystem (src/federation):
-// spec parsing, fabric partitioning, and the full partition → concurrent
-// region sessions → boundary resolution → certification pipeline.
+// Tests for regional mapping (`sanmap --federate`): spec parsing, the
+// region planner (partition_fabric), and the planner + ParallelMapper
+// pipeline that maps each region and merges the partial maps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
-#include "federation/federated_mapper.hpp"
-#include "federation/partition.hpp"
+#include "mapper/parallel_mapper.hpp"
+#include "mapper/partition.hpp"
+#include "simnet/network.hpp"
 #include "topology/algorithms.hpp"
 #include "topology/generators.hpp"
 #include "topology/isomorphism.hpp"
 
-namespace sanmap::federation {
+namespace sanmap::mapper {
 namespace {
 
 using topo::NodeId;
 using topo::Topology;
 
-TEST(FederationSpec, ParsesAutoMode) {
+// -- region planning --------------------------------------------------------
+
+TEST(RegionSpec, ParsesAutoMode) {
   const FederationSpec spec = parse_federation_spec("auto:4");
   EXPECT_TRUE(spec.auto_mode());
   EXPECT_EQ(spec.auto_regions, 4);
   EXPECT_TRUE(spec.anchor_host.empty());
 }
 
-TEST(FederationSpec, ParsesAutoModeWithAnchor) {
+TEST(RegionSpec, ParsesAutoModeWithAnchor) {
   const FederationSpec spec = parse_federation_spec("auto:3@P1.h0");
   EXPECT_TRUE(spec.auto_mode());
   EXPECT_EQ(spec.auto_regions, 3);
   EXPECT_EQ(spec.anchor_host, "P1.h0");
 }
 
-TEST(FederationSpec, ParsesExplicitSeedsWithOptionalNames) {
+TEST(RegionSpec, ParsesExplicitSeedsWithOptionalNames) {
   const FederationSpec spec =
       parse_federation_spec("podA=P0.h0,P1.h0,podC=P2.h1");
   ASSERT_EQ(spec.regions.size(), 3u);
@@ -44,7 +49,7 @@ TEST(FederationSpec, ParsesExplicitSeedsWithOptionalNames) {
   EXPECT_EQ(spec.regions[2].mapper_host, "P2.h1");
 }
 
-TEST(FederationSpec, RejectsMalformedSpecs) {
+TEST(RegionSpec, RejectsMalformedSpecs) {
   EXPECT_THROW((void)parse_federation_spec(""), std::runtime_error);
   EXPECT_THROW((void)parse_federation_spec("auto"), std::runtime_error);
   EXPECT_THROW((void)parse_federation_spec("auto:zero"), std::runtime_error);
@@ -121,6 +126,12 @@ TEST(Partition, RejectsUnknownHostsAndDuplicateSeeds) {
   }
   {
     FederationSpec spec;
+    spec.auto_regions = 2;
+    spec.anchor_host = "nonesuch";
+    EXPECT_THROW((void)partition_fabric(t, spec), std::runtime_error);
+  }
+  {
+    FederationSpec spec;
     spec.regions.push_back({"a", t.name(t.hosts().front())});
     spec.regions.push_back({"b", t.name(t.hosts().front())});
     EXPECT_THROW((void)partition_fabric(t, spec), std::runtime_error);
@@ -139,106 +150,131 @@ TEST(Partition, RejectsSeedsInDisconnectedComponents) {
   EXPECT_THROW((void)partition_fabric(t, spec), std::runtime_error);
 }
 
-TEST(FederatedMapper, MergedMapMatchesMonolithicTruthOnMultiPod) {
+// -- regional mapping: planner + ParallelMapper ------------------------------
+
+/// Plans `spec` over `fabric` and maps every region on one network, with the
+/// configuration `sanmap --federate` uses.
+ParallelMapResult map_regions(const Topology& fabric,
+                              const FederationSpec& spec) {
+  simnet::Network net(fabric);
+  return ParallelMapper(net, regional_config(partition_fabric(fabric, spec)))
+      .run();
+}
+
+FederationSpec auto_spec(const Topology& fabric, int regions) {
+  FederationSpec spec;
+  spec.auto_regions = regions;
+  spec.anchor_host = fabric.name(fabric.hosts().front());
+  return spec;
+}
+
+TEST(RegionalMapping, MergedMapMatchesMonolithicTruthOnMultiPod) {
   const Topology t = topo::multi_pod({});
-  FederationConfig config;
-  config.spec.auto_regions = 3;
-  FederatedMapper federated(t, config);
-  EXPECT_EQ(federated.plan().regions.size(), 3u);
-  const FederatedResult result = federated.run();
+  FederationSpec spec;
+  spec.auto_regions = 3;
+  const ParallelMapResult result = map_regions(t, spec);
   EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)))
       << result.map.num_hosts() << "h/" << result.map.num_switches() << "s/"
       << result.map.num_wires() << "w";
-  EXPECT_TRUE(result.certified) << (result.uncertified_reasons.empty()
-                                        ? ""
-                                        : result.uncertified_reasons.front());
-  EXPECT_TRUE(result.routes.has_value());
-  EXPECT_GT(result.boundary_switches, 0u);
-  EXPECT_GT(result.boundary_conflicts, 0u);
-  ASSERT_EQ(result.regions.size(), 3u);
-  for (const RegionOutcome& region : result.regions) {
-    EXPECT_GT(region.probes, 0u);
-    EXPECT_GT(region.nodes_mapped, 0u);
-    EXPECT_FALSE(region.budget_exceeded);
+  EXPECT_GT(result.merge.merges, 0u);
+  ASSERT_EQ(result.locals.size(), 3u);
+  for (const ParallelMapResult::Local& local : result.locals) {
+    EXPECT_GT(local.probes, 0u);
+    EXPECT_GT(local.nodes, 0u);
   }
 }
 
-TEST(FederatedMapper, ExplicitSeedsOnTheNowCluster) {
+TEST(RegionalMapping, ExplicitSeedsOnTheNowCluster) {
   const Topology t = topo::now_cluster();
-  FederationConfig config;
-  config.spec = parse_federation_spec("a=A.util,b=B.util,c=C.util");
-  const FederatedResult result = FederatedMapper(t, config).run();
+  const ParallelMapResult result =
+      map_regions(t, parse_federation_spec("a=A.util,b=B.util,c=C.util"));
   EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)));
-  EXPECT_TRUE(result.certified);
-  EXPECT_EQ(result.regions[0].name, "a");
-  EXPECT_EQ(result.regions[1].name, "b");
-  EXPECT_EQ(result.regions[2].name, "c");
+  ASSERT_EQ(result.locals.size(), 3u);
+  EXPECT_EQ(result.locals[0].mapper, *t.find_host("A.util"));
+  EXPECT_EQ(result.locals[2].mapper, *t.find_host("C.util"));
 }
 
-TEST(FederatedMapper, ElapsedIsMaxOverRegionsPlusMergeCharge) {
+TEST(RegionalMapping, ElapsedIsMaxOverRegionsPlusMergeCharge) {
   const Topology t = topo::multi_pod({});
-  FederationConfig config;
-  config.spec.auto_regions = 4;
-  const FederatedResult result = FederatedMapper(t, config).run();
+  FederationSpec spec;
+  spec.auto_regions = 4;
+  const ParallelMapResult result = map_regions(t, spec);
   common::SimTime slowest{};
   std::uint64_t probes = 0;
-  for (const RegionOutcome& region : result.regions) {
-    slowest = std::max(slowest, region.elapsed);
-    probes += region.probes;
+  for (const ParallelMapResult::Local& local : result.locals) {
+    slowest = std::max(slowest, local.elapsed);
+    probes += local.probes;
   }
   EXPECT_EQ(result.total_probes, probes);
   EXPECT_EQ(result.elapsed,
-            slowest + config.merge_cost_per_vertex *
+            slowest + ParallelConfig{}.merge_cost_per_vertex *
                           static_cast<std::int64_t>(
                               result.merge.loaded_vertices));
 }
 
-TEST(FederatedMapper, ThrowingRegionPropagatesWithoutDeadlock) {
-  // One region's mapper dies mid-session: the pool must finish the other
-  // regions, then rethrow — never hang, never hand back a half-merged map.
-  const Topology t = topo::multi_pod({});
-  FederationConfig config;
-  config.spec.auto_regions = 3;
-  config.sabotage_region_throw = 1;
-  FederatedMapper federated(t, config);
-  EXPECT_THROW((void)federated.run(), std::runtime_error);
-  // The mapper object survives the failed run and can run clean afterwards.
-  config.sabotage_region_throw = -1;
-  const FederatedResult result = FederatedMapper(t, config).run();
-  EXPECT_TRUE(result.certified);
-}
-
-TEST(FederatedMapper, ProbeBudgetOverrunIsFlaggedNotFatal) {
-  const Topology t = topo::multi_pod({});
-  FederationConfig config;
-  config.spec.auto_regions = 2;
-  config.region_probe_budget = 1;  // absurdly small: every region overruns
-  const FederatedResult result = FederatedMapper(t, config).run();
-  EXPECT_TRUE(result.budget_exceeded);
-  for (const RegionOutcome& region : result.regions) {
-    EXPECT_TRUE(region.budget_exceeded);
-  }
-  // The session still completes and the map is still whole: the budget is
-  // an operator signal, not an abort (a partial map would poison the merge).
-  EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)));
-}
-
-TEST(FederatedMapper, UnsatisfiableSpecThrowsAtConstruction) {
-  const Topology t = topo::multi_pod({});
-  FederationConfig config;
-  config.spec.regions.push_back({"", "no-such-host"});
-  EXPECT_THROW((void)FederatedMapper(t, config), std::runtime_error);
-}
-
-TEST(FederatedMapper, SingleRegionDegeneratesToMonolithic) {
+TEST(RegionalMapping, SingleRegionEqualsBerkeley) {
   const Topology t = topo::star(4, 2);
-  FederationConfig config;
-  config.spec.auto_regions = 1;
-  const FederatedResult result = FederatedMapper(t, config).run();
+  const ParallelMapResult result = map_regions(t, auto_spec(t, 1));
   EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)));
-  EXPECT_TRUE(result.certified);
-  EXPECT_EQ(result.boundary_switches, 0u);
+  EXPECT_EQ(partition_fabric(t, auto_spec(t, 1)).boundary_switches, 0u);
+}
+
+TEST(RegionalMapping, PinnedProbesAndVirtualTime) {
+  // Probe counts and virtual times of the window-8 regional sweep (overlap
+  // 2, auto:k anchored at the first host). Any drift means a behavioural
+  // change in the planner, the mapper, the probe engine or simnet.
+  struct Row {
+    int regions;
+    std::uint64_t probes;
+    std::int64_t elapsed_ns;
+  };
+  topo::MultiPodOptions pods;
+  pods.pods = 8;
+  pods.leaf_switches_per_pod = 4;
+  pods.pod_roots = 1;
+  pods.hosts_per_leaf = 2;
+  pods.uplinks = 1;
+  pods.spines = 2;
+  topo::MegaFatTreeOptions banded;
+  banded.leaf_switches = 266;
+  const struct {
+    Topology fabric;
+    std::vector<Row> rows;
+  } sweeps[] = {
+      {topo::multi_pod(pods),
+       {{1, 1337, 137601768}, {2, 2674, 139721768}, {4, 5348, 143961768},
+        {8, 10696, 152441768}}},
+      {topo::mega_fat_tree(banded),
+       {{1, 54275, 5437877188},
+        {2, 68604, 3521230580},
+        {4, 81653, 2180268852},
+        {8, 111159, 1861359840}}},
+  };
+  for (const auto& sweep : sweeps) {
+    for (const Row& row : sweep.rows) {
+      const ParallelMapResult result =
+          map_regions(sweep.fabric, auto_spec(sweep.fabric, row.regions));
+      EXPECT_EQ(result.total_probes, row.probes)
+          << sweep.fabric.num_switches() << " switches, k=" << row.regions;
+      EXPECT_EQ(result.elapsed.to_ns(), row.elapsed_ns)
+          << sweep.fabric.num_switches() << " switches, k=" << row.regions;
+    }
+  }
+}
+
+TEST(RegionalMapping, OneRegionMapsAThousandSwitchFabricWhole) {
+  // A single region over a 1,001-switch banded fat tree: the session needs
+  // 6,650 switch explorations, so a fixed exploration cap would truncate
+  // the merged map to a connected but partial fabric.
+  topo::MegaFatTreeOptions banded;
+  banded.leaf_switches = 533;
+  const Topology t = topo::mega_fat_tree(banded);
+  ASSERT_EQ(t.num_switches(), 1001u);
+  const ParallelMapResult result = map_regions(t, auto_spec(t, 1));
+  EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)))
+      << result.map.num_switches() << " of " << t.num_switches()
+      << " switches mapped";
 }
 
 }  // namespace
-}  // namespace sanmap::federation
+}  // namespace sanmap::mapper

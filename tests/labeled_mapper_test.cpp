@@ -132,9 +132,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CrossCheckTest,
                          ::testing::ValuesIn(cross_cases()),
                          [](const auto& param_info) {
                            const CrossCase& c = param_info.param;
-                           return "s" + std::to_string(c.switches) + "_x" +
-                                  std::to_string(c.extra_links) + "_seed" +
-                                  std::to_string(c.seed);
+                           std::string name(1, 's');
+                           name += std::to_string(c.switches) + "_x" +
+                                   std::to_string(c.extra_links) + "_seed" +
+                                   std::to_string(c.seed);
+                           return name;
                          });
 
 }  // namespace

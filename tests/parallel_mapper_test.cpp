@@ -1,6 +1,9 @@
 // Tests for §6 parallel mapping: partial-map merging and the multi-mapper
-// pipeline.
+// pipeline. Regional mapping (region planner + ParallelMapper) is covered
+// in federation_test.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "mapper/berkeley_mapper.hpp"
 #include "mapper/parallel_mapper.hpp"
@@ -171,10 +174,12 @@ TEST(PartialMerge, BoundarySwitchSeenByThreeRegionsFusesToOne) {
   std::vector<NodeId> leaves;
   std::vector<NodeId> leaf_hosts;
   for (int i = 0; i < 3; ++i) {
-    const NodeId leaf = t.add_switch("leaf" + std::to_string(i));
+    const NodeId leaf =
+        t.add_switch(std::string("leaf").append(std::to_string(i)));
     t.connect(leaf, 0, hub, static_cast<topo::Port>(1 + i));
     leaves.push_back(leaf);
-    leaf_hosts.push_back(t.add_host("h" + std::to_string(i)));
+    leaf_hosts.push_back(
+        t.add_host(std::string("h").append(std::to_string(i))));
     t.connect(leaf_hosts.back(), 0, leaf, 1);
   }
 
@@ -237,10 +242,9 @@ TEST(ParallelMapper, ThreeMappersCoverTheNow) {
   ParallelConfig config;
   // One mapper per subcluster (the utility hosts) plus two leaf hosts for
   // extra overlap.
-  config.mappers = {*t.find_host("C.util"), *t.find_host("A.util"),
-                    *t.find_host("B.util"), *t.find_host("C.h0"),
-                    *t.find_host("B.h17")};
-  config.local_depth = 8;
+  for (const char* host : {"C.util", "A.util", "B.util", "C.h0", "B.h17"}) {
+    config.mappers.push_back({*t.find_host(host), 8});
+  }
   const auto result = ParallelMapper(net, config).run();
   EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)))
       << result.map.num_hosts() << "h/" << result.map.num_switches() << "s/"
@@ -266,9 +270,8 @@ TEST(ParallelMapper, ParallelPhaseIsFasterOnALargeDiameterNetwork) {
   ParallelConfig config;
   const auto hosts = t.hosts();
   for (std::size_t i = 0; i < hosts.size(); i += 3) {
-    config.mappers.push_back(hosts[i]);
+    config.mappers.push_back({hosts[i], 6});
   }
-  config.local_depth = 6;
   const auto parallel = ParallelMapper(net2, config).run();
 
   EXPECT_TRUE(topo::isomorphic(parallel.map, solo.map));
@@ -281,9 +284,10 @@ TEST(ParallelMapper, InsufficientDepthMissesTheMiddle) {
   const Topology t = topo::now_cluster();
   simnet::Network net(t);
   ParallelConfig config;
-  config.mappers = {*t.find_host("C.util"), *t.find_host("A.util"),
-                    *t.find_host("B.util")};
-  config.local_depth = 1;  // balls far too small to cover the fabric
+  // Balls far too small to cover the fabric.
+  for (const char* host : {"C.util", "A.util", "B.util"}) {
+    config.mappers.push_back({*t.find_host(host), 1});
+  }
   const auto result = ParallelMapper(net, config).run();
   EXPECT_LT(result.map.num_nodes(), t.num_nodes());
 }
@@ -293,8 +297,7 @@ TEST(ParallelMapper, SingleMapperEqualsBerkeley) {
   const NodeId mapper_host = t.hosts().front();
   simnet::Network net(t);
   ParallelConfig config;
-  config.mappers = {mapper_host};
-  config.local_depth = topo::search_depth(t, mapper_host);
+  config.mappers = {{mapper_host, topo::search_depth(t, mapper_host)}};
   const auto result = ParallelMapper(net, config).run();
   EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)));
 }

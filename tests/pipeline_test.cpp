@@ -248,8 +248,7 @@ TEST(PipelinedMapper, ParallelMapperThreadsTheWindowThrough) {
   Network net1(line.topo);
   Network net2(line.topo);
   mapper::ParallelConfig config;
-  config.mappers = {line.h0, line.h1};
-  config.local_depth = 3;
+  config.mappers = {{line.h0, 3}, {line.h1, 3}};
   const auto serial = mapper::ParallelMapper(net1, config).run();
   config.pipeline_window = 8;
   const auto piped = mapper::ParallelMapper(net2, config).run();

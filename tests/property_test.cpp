@@ -42,8 +42,8 @@ TEST(PropertyTopology, RandomMutationSequencesKeepInvariants) {
     for (int op = 0; op < 200; ++op) {
       switch (rng.below(5)) {
         case 0: {  // add host
-          live_nodes.push_back(
-              t.add_host("f" + std::to_string(name_counter++)));
+          live_nodes.push_back(t.add_host(
+              std::string("f").append(std::to_string(name_counter++))));
           break;
         }
         case 1: {  // add switch
@@ -259,7 +259,7 @@ TEST(PropertyEndToEnd, MappingSurvivesRandomReconfigurations) {
         }
         if (!candidates.empty()) {
           const NodeId h =
-              t.add_host("r" + std::to_string(event));
+              t.add_host(std::string("r").append(std::to_string(event)));
           t.connect_any(h, rng.pick(candidates));
         }
         break;

@@ -22,6 +22,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "mapper/parallel_mapper.hpp"
 #include "routing/route_health.hpp"
 #include "service/map_catalog.hpp"
 #include "service/query_engine.hpp"
@@ -29,6 +30,7 @@
 #include "service/snapshot_codec.hpp"
 #include "simnet/fault_schedule.hpp"
 #include "simnet/network.hpp"
+#include "topology/algorithms.hpp"
 #include "topology/generators.hpp"
 #include "topology/isomorphism.hpp"
 
@@ -717,6 +719,52 @@ TEST(RefreshLoop, LinkDeathTriggersRemapVerifySwap) {
 
   // Quiet again: no further republish.
   EXPECT_FALSE(loop.tick().swapped());
+}
+
+// ------------------------------------------------------ regional bootstrap --
+//
+// `sanmap serve --federate` publishes a regional map as epoch 1: it refuses
+// an empty or disconnected merge, then hands the map to build_snapshot and
+// the catalog's publish gate, which certify it like any other candidate.
+
+TEST(RegionalBootstrap, MergedMapCertifiesAtThePublishGate) {
+  const Topology t = topo::multi_pod({});
+  const mapper::RegionPlan plan =
+      mapper::partition_fabric(t, mapper::parse_federation_spec("auto:3"));
+  simnet::Network net(t);
+  const mapper::ParallelMapResult result =
+      mapper::ParallelMapper(net, mapper::regional_config(plan)).run();
+  ASSERT_EQ(result.locals.size(), 3u);
+  ASSERT_TRUE(topo::connected(result.map));
+  EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)));
+
+  SnapshotOptions options;
+  options.source = "regional-bootstrap";
+  MapSnapshot snap = build_snapshot(result.map, options, result.elapsed);
+  EXPECT_TRUE(snap.deadlock_free);
+  EXPECT_TRUE(snap.compliant);
+  EXPECT_FALSE(snap.routes.routes.empty());
+
+  MapCatalog catalog;
+  const auto outcome = catalog.publish(std::move(snap));
+  ASSERT_TRUE(outcome.published());
+  EXPECT_EQ(outcome.epoch, 1u);
+  EXPECT_EQ(catalog.current()->options.source, "regional-bootstrap");
+}
+
+TEST(RegionalBootstrap, NonOverlappingRegionsFailTheConnectivityCheck) {
+  // Two shallow sessions in different pods: their balls share no switch,
+  // so the merge has no boundary evidence to fuse and stays split. That is
+  // the merge the bootstrap refuses before it reaches build_snapshot.
+  const Topology t = topo::multi_pod({});
+  mapper::ParallelConfig config;
+  config.mappers = {{t.hosts().front(), 2}, {t.hosts().back(), 2}};
+  simnet::Network net(t);
+  const mapper::ParallelMapResult result =
+      mapper::ParallelMapper(net, config).run();
+  ASSERT_GT(result.map.num_switches(), 0u);
+  EXPECT_EQ(result.merge.merges, 0u);
+  EXPECT_FALSE(topo::connected(result.map));
 }
 
 // ------------------------------------------------------------------ codec --

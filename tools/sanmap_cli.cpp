@@ -35,11 +35,11 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "federation/federated_mapper.hpp"
 #include "mapper/berkeley_mapper.hpp"
 #include "mapper/id_mapper.hpp"
 #include "mapper/incremental.hpp"
 #include "mapper/labeled_mapper.hpp"
+#include "mapper/parallel_mapper.hpp"
 #include "mapper/randomized_mapper.hpp"
 #include "myricom/myricom_mapper.hpp"
 #include "probe/probe_engine.hpp"
@@ -242,43 +242,33 @@ int cmd_info(int argc, const char* const* argv) {
   return 0;
 }
 
-// Shared by `map --federate` and `serve --federate`: run the full sharded
-// pipeline (partition, concurrent region sessions, boundary resolution,
-// route recomputation, certification) and narrate it.
-federation::FederatedResult run_federated(const topo::Topology& t,
-                                          const std::string& spec,
-                                          int overlap_margin,
-                                          const std::string& root_name,
-                                          std::uint64_t route_seed,
-                                          routing::EngineKind engine,
-                                          bool optimize,
-                                          const simnet::FaultSchedule* faults,
-                                          simnet::CollisionModel collision) {
-  federation::FederationConfig config;
-  config.spec = federation::parse_federation_spec(spec);
-  config.partition.overlap_margin = overlap_margin;
-  config.collision = collision;
-  config.root_name = root_name;
-  config.route_seed = route_seed;
-  config.engine = engine;
-  config.optimize = optimize;
-  config.faults = faults;
-  federation::FederatedMapper federated(t, config);
+// Shared by `map --federate` and `serve --federate`: plan the regions, run
+// one depth-bounded session per region on `net`, merge the partial maps,
+// and narrate it. The merged map is checked by the caller.
+mapper::ParallelMapResult run_regional(simnet::Network& net,
+                                       const std::string& spec,
+                                       int overlap_margin) {
+  const topo::Topology& t = net.topology();
+  mapper::PartitionOptions options;
+  options.overlap_margin = overlap_margin;
+  const mapper::RegionPlan plan =
+      mapper::partition_fabric(t, mapper::parse_federation_spec(spec), options);
+  const mapper::ParallelMapResult result =
+      mapper::ParallelMapper(net, mapper::regional_config(plan)).run();
 
   common::Table regions(
       {"region", "mapper", "switches", "depth", "nodes", "probes", "time"});
-  const federation::FederatedResult result = federated.run();
-  for (const federation::RegionOutcome& r : result.regions) {
+  for (std::size_t i = 0; i < plan.regions.size(); ++i) {
+    const mapper::Region& r = plan.regions[i];
+    const mapper::ParallelMapResult::Local& local = result.locals[i];
     regions.add_row({r.name, t.name(r.mapper),
-                     std::to_string(r.switches_assigned),
-                     std::to_string(r.depth), std::to_string(r.nodes_mapped),
-                     std::to_string(r.probes) +
-                         (r.budget_exceeded ? " (OVER BUDGET)" : ""),
-                     r.elapsed.str()});
+                     std::to_string(r.switches.size()),
+                     std::to_string(r.depth), std::to_string(local.nodes),
+                     std::to_string(local.probes), local.elapsed.str()});
   }
   std::cerr << regions;
-  std::cerr << "boundary  : " << result.boundary_switches
-            << " switches on region boundaries, " << result.boundary_conflicts
+  std::cerr << "boundary  : " << plan.boundary_switches
+            << " switches on region boundaries, " << result.merge.merges
             << " cross-region fusions resolved\n";
   std::cerr << "merged    : " << result.map.num_hosts() << " hosts, "
             << result.map.num_switches() << " switches, "
@@ -288,10 +278,6 @@ federation::FederatedResult run_federated(const topo::Topology& t,
   std::cerr << "probes    : " << result.total_probes << " across all regions\n";
   std::cerr << "time      : " << result.elapsed.str()
             << " (max over regions + merge, simulated)\n";
-  std::cerr << "certified : " << (result.certified ? "yes" : "NO") << "\n";
-  for (const std::string& reason : result.uncertified_reasons) {
-    std::cerr << "            - " << reason << "\n";
-  }
   return result;
 }
 
@@ -306,10 +292,10 @@ int cmd_map(int argc, const char* const* argv) {
                "previous map file: verify it and repair locally instead of "
                "mapping from scratch (berkeley algorithm only)");
   flags.define("federate", "",
-               "shard the fabric and map regions concurrently: "
+               "map by regions, one depth-bounded mapper per region: "
                "\"auto:<k>[@<anchor-host>]\" or \"[name=]host,...\"");
   flags.define("overlap", "2",
-               "federation overlap margin (extra region probe depth)");
+               "region overlap margin (extra region probe depth)");
   flags.define("out", "", "write the mapped topology here");
   flags.define("verify", "true", "check the map against the ground truth");
   if (!flags.parse(argc, argv)) {
@@ -321,10 +307,9 @@ int cmd_map(int argc, const char* const* argv) {
                              : simnet::CollisionModel::kCutThrough;
 
   if (!flags.get("federate").empty()) {
-    const federation::FederatedResult result = run_federated(
-        t, flags.get("federate"), static_cast<int>(flags.get_int("overlap")),
-        /*root_name=*/"", /*route_seed=*/1, routing::EngineKind::kUpDown,
-        /*optimize=*/false, /*faults=*/nullptr, collision);
+    simnet::Network net(t, collision);
+    const mapper::ParallelMapResult result = run_regional(
+        net, flags.get("federate"), static_cast<int>(flags.get_int("overlap")));
     if (flags.get_bool("verify")) {
       const bool ok = topo::isomorphic(result.map, topo::core(t));
       std::cerr << "verified  : "
@@ -337,7 +322,7 @@ int cmd_map(int argc, const char* const* argv) {
     if (const std::string out = flags.get("out"); !out.empty()) {
       write_output(out, topo::to_text(result.map));
     }
-    return result.certified ? 0 : 1;
+    return 0;
   }
 
   const topo::NodeId mapper = pick_mapper(t, flags.get("mapper"));
@@ -578,10 +563,10 @@ int cmd_serve(int argc, const char* const* argv) {
                "src/simnet/churn.hpp)");
   flags.define("churn-seed", "1", "churn target-selection seed");
   flags.define("federate", "",
-               "bootstrap epoch 1 by federated mapping instead of a single "
+               "bootstrap epoch 1 by regional mapping instead of a single "
                "master session: \"auto:<k>[@<anchor>]\" or \"[name=]host,...\"");
   flags.define("overlap", "2",
-               "federation overlap margin (extra region probe depth)");
+               "region overlap margin (extra region probe depth)");
   flags.define("snapshot-out", "", "write the final snapshot here (binary)");
   flags.define("paranoid", "false",
                "cross-check the incremental publish gate with a from-scratch "
@@ -614,20 +599,18 @@ int cmd_serve(int argc, const char* const* argv) {
   service::RefreshLoop loop(net, catalog, config);
 
   if (!flags.get("federate").empty()) {
-    // Federated bootstrap: shard the fabric, map regions concurrently, and
-    // publish the certified merged model as epoch 1. The loop's own tick()
-    // only bootstraps an *empty* catalog, so it picks up from here with
-    // plain health checks — and its incremental/full remap rungs take over
-    // on any later breakage.
-    const federation::FederatedResult result = run_federated(
-        t, flags.get("federate"), static_cast<int>(flags.get_int("overlap")),
-        flags.get("root"),
-        static_cast<std::uint64_t>(flags.get_int("seed")), config.engine,
-        config.optimize, flags.get("churn").empty() ? &schedule : nullptr,
-        simnet::CollisionModel::kCutThrough);
-    if (!result.certified) {
-      std::cerr << "bootstrap : REFUSED — uncertified merged map is not "
-                   "publishable\n";
+    // Regional bootstrap: plan regions, map them on the live network, and
+    // publish the merged map as epoch 1 through build_snapshot and the
+    // catalog's publish gate, which certifies it like any other candidate.
+    // The loop's own tick() only bootstraps an *empty* catalog, so it picks
+    // up from here with plain health checks — and its incremental/full
+    // remap rungs take over on any later breakage.
+    const mapper::ParallelMapResult result = run_regional(
+        net, flags.get("federate"), static_cast<int>(flags.get_int("overlap")));
+    if (result.map.num_hosts() == 0 || result.map.num_switches() == 0 ||
+        !topo::connected(result.map)) {
+      std::cerr << "bootstrap : REFUSED — merged map is not routable "
+                   "(disconnected or empty; raise --overlap)\n";
       return 1;
     }
     service::SnapshotOptions snapshot_options;
@@ -636,7 +619,7 @@ int cmd_serve(int argc, const char* const* argv) {
         static_cast<std::uint64_t>(flags.get_int("seed"));
     snapshot_options.engine = config.engine;
     snapshot_options.optimize = config.optimize;
-    snapshot_options.source = "federated-bootstrap";
+    snapshot_options.source = "regional-bootstrap";
     const auto publish = catalog.publish(service::build_snapshot(
         result.map, snapshot_options, result.elapsed));
     if (!publish.published()) {
@@ -645,8 +628,8 @@ int cmd_serve(int argc, const char* const* argv) {
       return 1;
     }
     std::cerr << "bootstrap : epoch " << publish.epoch << " at "
-              << result.elapsed.str() << " (federated, "
-              << result.regions.size() << " regions, " << result.total_probes
+              << result.elapsed.str() << " (regional, "
+              << result.locals.size() << " regions, " << result.total_probes
               << " probes)\n";
   } else {
     const auto boot = loop.bootstrap();
