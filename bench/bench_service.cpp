@@ -13,7 +13,7 @@
 // published epoch with a complete route; the unsafe tables must all bounce
 // off the catalog's safety gate.
 //
-// Results also land in BENCH_bench_service.json (see JsonReport).
+// Results also land in BENCH_service.json (see JsonReport).
 #include <chrono>
 #include <iostream>
 #include <set>
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   const auto queries = all_pairs_repeated(
       t, static_cast<std::size_t>(flags.get_int("queries")));
 
-  bench::JsonReport json("bench_service");
+  bench::JsonReport json("service");
   json.add("env", "hardware_concurrency",
            static_cast<double>(std::thread::hardware_concurrency()));
 

@@ -115,9 +115,8 @@ LegalityCertificate build_legality_certificate(
                                     << " is not a live switch of the map");
   cert.root_name = topo.name(cert.root);
   // The labels come from the table's own orientation, not a fresh BFS:
-  // legality is relative to whatever total order the engine routed against
-  // (BFS for updown, DFS preorder for the dfs engine — byte-identical to
-  // the old recomputation for updown tables under default options), and
+  // legality is relative to the order the table was routed against (a
+  // root override or the dominant-switch fix changes it), and
   // check_legality re-validates purely from the recorded labels. Read via
   // raw_labels(): the orientation's topology pointer dangles once a
   // RoutingResult has moved across snapshots, but the label array is owned.

@@ -239,8 +239,6 @@ const char* to_string(EscalationReason reason) {
       return "manual-reset";
     case EscalationReason::kRootChanged:
       return "root-changed";
-    case EscalationReason::kEngineChanged:
-      return "engine-changed";
     case EscalationReason::kDiffTooLarge:
       return "diff-too-large";
     case EscalationReason::kStructureFinding:
@@ -327,7 +325,6 @@ void AnalysisState::prime(const topo::Topology& map,
     return;
   }
   root_ = routes.orientation.root();
-  engine_ = routes.meta.engine;
 
   node_fp_.resize(map.node_capacity());
   for (topo::NodeId n = 0; n < map.node_capacity(); ++n) {
@@ -441,12 +438,6 @@ AnalysisState::Result AnalysisState::reanalyze(
     // Covers both a re-rooted table and a dead root; the full path owns the
     // SL106 diagnostic for the latter.
     return full_path(map, routes, EscalationReason::kRootChanged);
-  }
-  if (routes.meta.engine != routing::EngineKind::kUpDown ||
-      routes.meta.engine != engine_) {
-    // Label repair replays BFS relabeling; any non-updown table (or a flip
-    // between engines) invalidates that replay wholesale.
-    return full_path(map, routes, EscalationReason::kEngineChanged);
   }
   if (map.node_capacity() < node_fp_.size() ||
       map.wire_capacity() < wire_fp_.size()) {
@@ -998,7 +989,6 @@ void DeltaChecker::seed(const topo::Topology& map,
                         const routing::RoutingResult& routes,
                         const AnalysisResult& full) {
   root_ = routes.orientation.root();
-  engine_ = routes.meta.engine;
   node_alive_.assign(map.node_capacity(), 0);
   for (topo::NodeId n = 0; n < map.node_capacity(); ++n) {
     node_alive_[n] = map.node_alive(n) ? 1 : 0;
@@ -1084,12 +1074,6 @@ bool DeltaChecker::check(const topo::Topology& map,
   }
   if (routes.orientation.root() != root_) {
     return fail("table root changed without a full escalation");
-  }
-  if (routes.meta.engine != engine_ ||
-      routes.meta.engine != routing::EngineKind::kUpDown) {
-    // The incremental label replay is BFS-specific; non-updown tables (and
-    // engine flips) must arrive as escalated deltas.
-    return fail("table engine changed without a full escalation");
   }
 
   // 1. The dirty sets must be exactly what our own mirror derives.

@@ -56,9 +56,6 @@ enum class EscalationReason : std::uint8_t {
   kManualReset,     ///< caller asked for a full re-prime (reset())
   kRootChanged,     ///< table root differs from baseline or is not a live
                     ///< switch (full path owns the SL106 diagnostic)
-  kEngineChanged,   ///< table computed by a non-updown engine (the label
-                    ///< repair is BFS-specific) or by a different engine
-                    ///< than the baseline
   kDiffTooLarge,    ///< dirty closure past the escalation threshold
   kStructureFinding,///< a route in the dirty closure is structurally broken
   kCycle,           ///< dependency-edge insert closed a cycle
@@ -209,11 +206,6 @@ class AnalysisState {
 
   // -- mirrored baseline ----------------------------------------------------
   topo::NodeId root_ = topo::kInvalidNode;
-  /// Baseline engine. The incremental label repair replays BFS labeling on
-  /// top of maintained root distances, which is only sound for updown
-  /// tables — any other engine (or an engine flip) escalates to the full
-  /// path, which is engine-agnostic.
-  routing::EngineKind engine_ = routing::EngineKind::kUpDown;
   std::vector<NodeFp> node_fp_;
   std::vector<WireFp> wire_fp_;
   /// Live wire-end count per node and the ascending isolated set (SL307).
@@ -277,7 +269,6 @@ class DeltaChecker {
   bool seeded_ = false;
   std::uint64_t revision_ = 0;
   topo::NodeId root_ = topo::kInvalidNode;
-  routing::EngineKind engine_ = routing::EngineKind::kUpDown;
   std::vector<char> node_alive_;
   std::vector<char> wire_alive_;
   std::map<RouteKey, routing::HostRoute> routes_;

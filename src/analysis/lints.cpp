@@ -440,9 +440,9 @@ void lint_route_quality(const topo::Topology& topo,
     const auto it = loads.find({w, a_to_b});
     return it == loads.end() ? std::size_t{0} : it->second;
   };
-  // Parallel-cable skew. When the engine (or the route optimizer) declared
-  // a per-cable assignment for the whole group, the lint audits the table
-  // against that declaration — the plan is the engine's balancing *intent*,
+  // Parallel-cable skew. When the route optimizer declared a per-cable
+  // assignment for the whole group, the lint audits the table against that
+  // declaration — the plan is the optimizer's balancing *intent*,
   // and a deliberately direction-split assignment (all A->B traffic on one
   // cable, all B->A on its sibling) is jointly balanced even though each
   // directed channel looks skewed in isolation. Re-deriving a
@@ -473,9 +473,9 @@ void lint_route_quality(const topo::Topology& topo,
           std::ostringstream oss;
           oss << "parallel cables " << topo.name(endpoints.first) << "->"
               << topo.name(endpoints.second) << ": wire " << w << " carries "
-              << actual << " routes but the engine declared " << want;
+              << actual << " routes but the optimizer declared " << want;
           report.add("SL403", "", oss.str(),
-                     "the table diverged from the engine's cable plan; "
+                     "the table diverged from the optimizer's cable plan; "
                      "recompute the table");
         }
       }
@@ -505,7 +505,7 @@ void lint_route_quality(const topo::Topology& topo,
               << " routes (both directions) while a sibling is planned for "
               << joint_min;
           report.add("SL403", "", oss.str(),
-                     "the engine's cable plan concentrates a parallel "
+                     "the optimizer's cable plan concentrates a parallel "
                      "trunk; rebalance the assignment");
         }
       }

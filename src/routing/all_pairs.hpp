@@ -1,8 +1,8 @@
 // Floyd-Warshall all-pairs shortest paths over one directed relation (the
 // "up" or "down" digraph of an orientation), with intermediate-node path
-// reconstruction. Shared by the route engines and the route optimizer —
-// each computes compliant paths as an up prefix + down suffix through the
-// best apex, so they all need the same two tables.
+// reconstruction. Shared by the UP*/DOWN* emitter and the route optimizer —
+// both compute compliant paths as an up prefix + down suffix through the
+// best apex, so they need the same two tables.
 #pragma once
 
 #include <cstddef>

@@ -118,52 +118,6 @@ DeadlockAnalysis analyze_channel_paths(
   return analyze(topo, paths);
 }
 
-MmCondition check_mm_condition(const topo::Topology& topo,
-                               const std::vector<std::vector<Channel>>& paths) {
-  const std::size_t num_channels = topo.wire_capacity() * 2;
-  // Deduplicated dependency edge list, plus the set of participating
-  // channels (the relaxation bound is over those, not the dense capacity).
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  std::vector<bool> participates(num_channels, false);
-  for (const auto& path : paths) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      edges.emplace_back(channel_id(path[i]), channel_id(path[i + 1]));
-      participates[edges.back().first] = true;
-      participates[edges.back().second] = true;
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  MmCondition result;
-  for (std::size_t c = 0; c < num_channels; ++c) {
-    if (participates[c]) {
-      ++result.channels;
-    }
-  }
-  result.rank.assign(num_channels, 0);
-  // Longest-path relaxation. Each round propagates rank constraints one
-  // more edge down every dependency chain; a DAG's longest chain has at
-  // most `channels` vertices, so a change after round `channels` means a
-  // chain longer than the vertex count — a cycle.
-  for (std::size_t round = 0; round <= result.channels; ++round) {
-    bool changed = false;
-    for (const auto& [from, to] : edges) {
-      if (result.rank[to] <= result.rank[from]) {
-        result.rank[to] = result.rank[from] + 1;
-        changed = true;
-      }
-    }
-    ++result.iterations;
-    if (!changed) {
-      result.holds = true;
-      return result;
-    }
-  }
-  result.holds = false;  // still relaxing past the DAG bound: cyclic
-  return result;
-}
-
 bool updown_compliant(const RoutingResult& routes) {
   const UpDownOrientation& orientation = routes.orientation;
   for (const auto& [key, route] : routes.routes) {

@@ -51,29 +51,4 @@ DeadlockAnalysis analyze_channel_paths(
 /// True when every route obeys the UP*/DOWN* rule: no down-to-up turn.
 bool updown_compliant(const RoutingResult& routes);
 
-/// The Mendlovic–Matias-style acyclicity witness: a rank function over the
-/// channels that strictly increases along every consecutive channel pair of
-/// every route. Such a function exists iff the channel-dependency graph is
-/// acyclic — i.e. iff the (deterministic) routing relation is deadlock-free
-/// — so computing one is a third, algorithmically independent proof next to
-/// the Kahn-based DeadlockCertificate and the three-color DFS detector.
-struct MmCondition {
-  /// A finite rank assignment exists (the condition holds).
-  bool holds = false;
-  /// Channels that participate in at least one dependency.
-  std::size_t channels = 0;
-  /// Relaxation rounds used; bounded by `channels` when the condition
-  /// holds, `channels` + 1 when it does not.
-  std::size_t iterations = 0;
-  /// rank[channel id] for participating channels (meaningful iff holds).
-  std::vector<std::uint32_t> rank;
-};
-
-/// Checks the condition by longest-path relaxation: ranks start at zero and
-/// every dependency (a, b) forces rank(b) > rank(a). On a DAG this settles
-/// within `channels` rounds; a round that still raises a rank after that
-/// bound proves a dependency cycle, so the condition fails.
-MmCondition check_mm_condition(const topo::Topology& topo,
-                               const std::vector<std::vector<Channel>>& paths);
-
 }  // namespace sanmap::routing

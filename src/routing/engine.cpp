@@ -1,267 +1,11 @@
 #include "routing/engine.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <map>
-#include <utility>
-#include <vector>
-
-#include "common/check.hpp"
-#include "routing/all_pairs.hpp"
-#include "topology/algorithms.hpp"
-
 namespace sanmap::routing {
 
-namespace {
-
-const UpDownEngine kUpDownEngine;
-const DfsEngine kDfsEngine;
-
-/// Dense directed-channel slot, same scheme as the deadlock analyzer.
-std::size_t channel_slot(topo::WireId w, bool a_to_b) {
-  return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
-}
-
-/// Deterministic DFS preorder over the fabric: neighbors are visited in
-/// ascending node-id order, multi-edges count once. Every node's DFS-tree
-/// parent gets a smaller preorder number, so every node reaches the root
-/// (preorder 0) by strictly descending up moves — the route-existence
-/// guarantee UP*/DOWN* gets from BFS distance, recovered for the DFS order.
-std::vector<int> dfs_preorder_labels(const topo::Topology& topo,
-                                     topo::NodeId root) {
-  std::vector<int> labels(topo.node_capacity(), -1);
-  std::vector<topo::NodeId> stack{root};
-  std::vector<topo::NodeId> neighbors;
-  int next = 0;
-  while (!stack.empty()) {
-    const topo::NodeId n = stack.back();
-    stack.pop_back();
-    if (labels[n] != -1) {
-      continue;
-    }
-    labels[n] = next++;
-    neighbors.clear();
-    for (const topo::PortRef& nb : topo.neighbors(n)) {
-      if (nb.node != n && labels[nb.node] == -1) {
-        neighbors.push_back(nb.node);
-      }
-    }
-    std::sort(neighbors.begin(), neighbors.end());
-    neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                    neighbors.end());
-    // Pushed in reverse so the smallest id is explored first.
-    for (auto it = neighbors.rbegin(); it != neighbors.rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-  return labels;
-}
-
-}  // namespace
-
-RoutingResult UpDownEngine::compute(const topo::Topology& topo,
-                                    const UpDownOptions& options,
-                                    std::uint64_t seed) const {
-  return compute_updown_routes(topo, options, seed);
-}
-
-RoutingResult DfsEngine::compute(const topo::Topology& topo,
-                                 const UpDownOptions& options,
-                                 std::uint64_t /*seed*/) const {
-  SANMAP_CHECK_MSG(topo.num_switches() >= 1,
-                   "routing needs at least one switch");
-  SANMAP_CHECK_MSG(topo::connected(topo), "routing needs a connected map");
-  topo::NodeId root;
-  if (options.root.has_value()) {
-    root = *options.root;
-    SANMAP_CHECK(topo.node_alive(root) && topo.is_switch(root));
-  } else {
-    root = topo::switch_farthest_from_hosts(topo, options.ignore_hosts);
-  }
-
-  RoutingResult result{
-      UpDownOrientation(topo, root, dfs_preorder_labels(topo, root)), {}, {}};
-  result.meta.engine = EngineKind::kDfs;
-  const UpDownOrientation& orientation = result.orientation;
-
-  // Compact node indexing and up/down adjacency — the same preparation as
-  // the updown emitter, just over the DFS order.
-  const auto nodes = topo.nodes();
-  const std::size_t n = nodes.size();
-  std::vector<std::size_t> index_of(topo.node_capacity(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    index_of[nodes[i]] = i;
-  }
-  std::vector<std::vector<std::size_t>> up_adj(n);
-  std::vector<std::vector<std::size_t>> down_adj(n);
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<topo::WireId>>
-      wires_between;
-  for (const topo::WireId w : topo.wires()) {
-    const topo::Wire& wire = topo.wire(w);
-    if (wire.a.node == wire.b.node) {
-      continue;
-    }
-    const std::size_t ia = index_of[wire.a.node];
-    const std::size_t ib = index_of[wire.b.node];
-    wires_between[{std::min(ia, ib), std::max(ia, ib)}].push_back(w);
-    if (orientation.goes_up(w, wire.a.node)) {
-      up_adj[ia].push_back(ib);
-      down_adj[ib].push_back(ia);
-    } else {
-      up_adj[ib].push_back(ia);
-      down_adj[ia].push_back(ib);
-    }
-  }
-
-  detail::AllPairs up;
-  up.compute(n, up_adj);
-  detail::AllPairs down;
-  down.compute(n, down_adj);
-
-  // Per-channel route counts, updated as routes are committed. This is the
-  // engine's load-aware selection state: Angara-style, every tie (apex or
-  // parallel cable) is broken toward the coldest alternative.
-  std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
-
-  const auto hosts = topo.hosts();
-  std::vector<std::size_t> apexes;
-  std::vector<std::size_t> sequence;
-  std::vector<topo::WireId> chosen;
-  std::vector<std::size_t> best_sequence;
-  std::vector<topo::WireId> best_wires;
-  for (const topo::NodeId src : hosts) {
-    for (const topo::NodeId dst : hosts) {
-      if (src == dst) {
-        continue;
-      }
-      const std::size_t si = index_of[src];
-      const std::size_t di = index_of[dst];
-      int best = detail::kUnreachable;
-      apexes.clear();
-      for (std::size_t k = 0; k < n; ++k) {
-        if (up.d(si, k) == detail::kUnreachable ||
-            down.d(k, di) == detail::kUnreachable) {
-          continue;
-        }
-        const int total = up.d(si, k) + down.d(k, di);
-        if (total < best) {
-          best = total;
-          apexes.clear();
-        }
-        if (total == best) {
-          apexes.push_back(k);
-        }
-      }
-      SANMAP_CHECK_MSG(best < detail::kUnreachable,
-                       "no deadlock-free route between hosts "
-                           << topo.name(src) << " and " << topo.name(dst));
-
-      // Evaluate every tied apex with a greedy coldest-cable choice per
-      // hop; the candidate minimizing (resulting max channel load, then
-      // total load, then apex visit order) wins. Fully deterministic.
-      std::size_t best_max = std::numeric_limits<std::size_t>::max();
-      std::size_t best_sum = std::numeric_limits<std::size_t>::max();
-      for (const std::size_t k : apexes) {
-        sequence.assign(1, si);
-        up.expand(si, k, sequence);
-        down.expand(k, di, sequence);
-        chosen.clear();
-        std::size_t cand_max = 0;
-        std::size_t cand_sum = 0;
-        for (std::size_t h = 0; h + 1 < sequence.size(); ++h) {
-          const auto key = std::make_pair(
-              std::min(sequence[h], sequence[h + 1]),
-              std::max(sequence[h], sequence[h + 1]));
-          const auto& candidates = wires_between.at(key);
-          const topo::NodeId from = nodes[sequence[h]];
-          topo::WireId pick = candidates.front();
-          std::size_t pick_load = std::numeric_limits<std::size_t>::max();
-          for (const topo::WireId w : candidates) {
-            const bool a_to_b = topo.wire(w).a.node == from;
-            const std::size_t have = load[channel_slot(w, a_to_b)];
-            if (have < pick_load) {
-              pick_load = have;
-              pick = w;
-            }
-          }
-          chosen.push_back(pick);
-          cand_max = std::max(cand_max, pick_load + 1);
-          cand_sum += pick_load;
-        }
-        if (cand_max < best_max ||
-            (cand_max == best_max && cand_sum < best_sum)) {
-          best_max = cand_max;
-          best_sum = cand_sum;
-          best_sequence = sequence;
-          best_wires = chosen;
-        }
-      }
-
-      HostRoute route;
-      route.nodes.reserve(best_sequence.size());
-      for (const std::size_t i : best_sequence) {
-        route.nodes.push_back(nodes[i]);
-      }
-      route.wires = best_wires;
-      for (std::size_t h = 0; h < route.wires.size(); ++h) {
-        const bool a_to_b = topo.wire(route.wires[h]).a.node == route.nodes[h];
-        ++load[channel_slot(route.wires[h], a_to_b)];
-      }
-      recompute_turns(topo, route);
-      result.routes.emplace(std::make_pair(src, dst), std::move(route));
-    }
-  }
-
-  // Declare the parallel-cable assignment the selection just made, so
-  // SL403 audits the table against intent instead of re-deriving a
-  // per-direction uniformity expectation the engine never promised.
-  for (const auto& [key, group] : wires_between) {
-    if (group.size() < 2) {
-      continue;
-    }
-    const topo::NodeId a = nodes[key.first];
-    const topo::NodeId b = nodes[key.second];
-    if (!topo.is_switch(a) || !topo.is_switch(b)) {
-      continue;
-    }
-    for (const topo::WireId w : group) {
-      result.meta.cable_plan[{w, false}] = load[channel_slot(w, false)];
-      result.meta.cable_plan[{w, true}] = load[channel_slot(w, true)];
-    }
-  }
-  return result;
-}
-
-const Engine& engine_for(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kUpDown:
-      return kUpDownEngine;
-    case EngineKind::kDfs:
-      return kDfsEngine;
-  }
-  SANMAP_CHECK_MSG(false,
-                   "unknown engine kind " << static_cast<int>(kind));
-  return kUpDownEngine;  // unreachable
-}
-
-const char* to_string(EngineKind kind) {
-  return engine_for(kind).name();
-}
-
-std::optional<EngineKind> parse_engine(std::string_view name) {
-  if (name == "updown") {
-    return EngineKind::kUpDown;
-  }
-  if (name == "dfs") {
-    return EngineKind::kDfs;
-  }
-  return std::nullopt;
-}
-
-RoutingResult compute_routes(const topo::Topology& topo, EngineKind kind,
+RoutingResult compute_routes(const topo::Topology& topo, EngineKind /*kind*/,
                              const UpDownOptions& options,
                              std::uint64_t seed) {
-  return engine_for(kind).compute(topo, options, seed);
+  return compute_updown_routes(topo, options, seed);
 }
 
 }  // namespace sanmap::routing

@@ -18,22 +18,6 @@ std::size_t channel_slot(topo::WireId w, bool a_to_b) {
   return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
 }
 
-/// No down-to-up turn w.r.t. the table's own orientation — the per-route
-/// legality re-check the optimizer runs after every rewrite.
-bool route_legal(const UpDownOrientation& orientation, const HostRoute& r) {
-  bool went_down = false;
-  for (std::size_t i = 0; i < r.wires.size(); ++i) {
-    const bool up = orientation.goes_up(r.wires[i], r.nodes[i]);
-    if (up && went_down) {
-      return false;
-    }
-    if (!up) {
-      went_down = true;
-    }
-  }
-  return true;
-}
-
 std::vector<std::size_t> channel_loads_of(const topo::Topology& topo,
                                           const RoutingResult& routes) {
   std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
@@ -256,21 +240,13 @@ std::size_t cable_pass(const topo::Topology& topo, RoutingResult& routes,
   return moves;
 }
 
-/// The per-round safety re-proof: orientation legality for every route,
-/// plus two independent acyclicity checks over the channel-dependency
-/// graph (three-color DFS and the Mendlovic–Matias rank condition).
+/// The per-round safety re-proof: orientation legality for every route
+/// (no down-to-up turn), plus the three-color DFS acyclicity check over the
+/// channel-dependency graph.
 bool table_proven_safe(const topo::Topology& topo,
                        const RoutingResult& routes) {
-  for (const auto& [key, route] : routes.routes) {
-    if (!route_legal(routes.orientation, route)) {
-      return false;
-    }
-  }
-  const auto paths = route_channel_paths(topo, routes);
-  if (!analyze_channel_paths(topo, paths).deadlock_free) {
-    return false;
-  }
-  return check_mm_condition(topo, paths).holds;
+  return updown_compliant(routes) &&
+         analyze_routes(topo, routes).deadlock_free;
 }
 
 }  // namespace
@@ -304,8 +280,8 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
 
   report.max_load_after = max_load(load);
   routes.meta.optimized = true;
-  // Declare the final parallel-cable assignment (replacing any engine
-  // plan): SL403 audits against this instead of re-deriving expectations.
+  // Declare the final parallel-cable assignment: SL403 audits against this
+  // instead of re-deriving expectations.
   routes.meta.cable_plan.clear();
   for (const auto& [wkey, group] : search.wires_between) {
     if (group.size() < 2) {

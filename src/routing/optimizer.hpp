@@ -17,14 +17,13 @@
 //
 // Safety is never assumed: after every round the rewritten table is
 // re-proved — every route re-checked against the orientation (no
-// down-to-up turn), the channel-dependency graph re-run through the
-// independent three-color DFS detector AND the Mendlovic–Matias rank
-// condition. A round that fails any re-proof is reverted wholesale and the
-// optimizer stops with `reverted` set; the published path then re-proves
-// the surviving table a third time via the Kahn-based DeadlockCertificate
-// checker at the analysis layer. All passes are deterministic, so an
-// optimized table is still a pure function of its inputs (the snapshot
-// codec depends on that).
+// down-to-up turn) and the channel-dependency graph re-run through the
+// three-color DFS detector. A round that fails either re-proof is reverted
+// wholesale and the optimizer stops with `reverted` set; the publish gate
+// then re-proves the surviving table independently via the Kahn-based
+// DeadlockCertificate and its checker at the analysis layer. All passes are
+// deterministic, so an optimized table is still a pure function of its
+// inputs (the snapshot codec depends on that).
 #pragma once
 
 #include <cstddef>
@@ -49,8 +48,8 @@ struct OptimizerReport {
   std::size_t cable_moves = 0;
   std::size_t rounds = 0;
   /// A round's safety re-proof failed and the round was rolled back (the
-  /// table is left at the last proven state; with sane engines this never
-  /// fires, but the optimizer does not get to assume that).
+  /// table is left at the last proven state; on a legal input table this
+  /// never fires, but the optimizer does not get to assume that).
   bool reverted = false;
 };
 

@@ -4,18 +4,17 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "routing/engine.hpp"
 #include "topology/algorithms.hpp"
 
 namespace sanmap::routing {
 
 namespace {
 
-/// A map the routing engines can actually accept: the orientation
-/// constructors SANMAP_CHECK connectivity and switch presence, and the
-/// distributor needs the master. A partial remap of a quarantined region
-/// can violate any of these — the self-heal loop must escalate to a full
-/// recompute instead of crashing through an engine precondition (the
+/// A map the router can actually accept: the orientation constructor
+/// SANMAP_CHECKs connectivity and switch presence, and the distributor
+/// needs the master. A partial remap of a quarantined region can violate
+/// any of these — the self-heal loop must escalate to a full recompute
+/// instead of crashing through a router precondition (the
 /// orientation would be dereferencing labels of nodes it never saw).
 bool routable_map(const topo::Topology& map, const std::string& master_name,
                   std::string& why) {
@@ -95,7 +94,7 @@ SelfHealResult self_heal_routes(simnet::Network& net,
     // fabric. Routes are map-space turn sequences (physically valid) with
     // hosts matched by name.
     const RoutingResult routes =
-        compute_routes(map, config.engine, config.updown, config.route_seed);
+        compute_updown_routes(map, config.updown, config.route_seed);
     result.final_distribution =
         distribute_tables(net, routes, map, config.master_name, clock);
     clock += result.final_distribution.elapsed;

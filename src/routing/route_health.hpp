@@ -77,17 +77,14 @@ struct SelfHealConfig {
   /// Host (by name; must exist in every map) that distributes the tables.
   std::string master_name;
   UpDownOptions updown;
-  /// Which routing engine computes the tables (routing/engine.hpp).
-  EngineKind engine = EngineKind::kUpDown;
-  /// Seed for the route emitter's parallel-cable choice. Reuse it (with the
-  /// same engine) to recompute the final RoutingResult from the returned
-  /// map.
+  /// Seed for the route emitter's parallel-cable choice. Reuse it to
+  /// recompute the final RoutingResult from the returned map.
   std::uint64_t route_seed = 1;
 };
 
 struct SelfHealResult {
   /// The map the final (validated) routes were computed on. Recompute the
-  /// routes with compute_routes(map, config.engine, config.updown,
+  /// routes with compute_updown_routes(map, config.updown,
   /// config.route_seed) — deterministic, and avoids returning a
   /// RoutingResult whose orientation would dangle once the map moves.
   topo::Topology map;
@@ -101,7 +98,7 @@ struct SelfHealResult {
   /// Iterations whose map was unroutable (disconnected, switch-free, or
   /// missing the master — e.g. a partial remap of a quarantined region) and
   /// was escalated straight to a full recompute instead of being handed to
-  /// the engine, whose orientation would have no labels for the missing
+  /// the router, whose orientation would have no labels for the missing
   /// region.
   std::size_t escalated_remaps = 0;
   /// Broken routes found across all iterations (repair triggers).

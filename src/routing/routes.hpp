@@ -35,28 +35,17 @@ struct HostRoute {
   [[nodiscard]] int hops() const { return static_cast<int>(wires.size()); }
 };
 
-/// Which engine computed a route table. Values are stable across releases:
-/// the snapshot codec serializes them.
-enum class EngineKind : std::uint8_t {
-  /// BFS-labeled UP*/DOWN* (§5.5) with seeded-random tie-breaks.
-  kUpDown = 0,
-  /// DFS-preorder-ordered graph routing with deterministic load-aware
-  /// selection (see routing/engine.hpp).
-  kDfs = 1,
-};
-
-/// Engine-declared facts about a table, carried alongside the routes so the
-/// analysis layer can audit what the engine *meant* instead of re-deriving
-/// expectations it cannot know.
+/// Facts the RouteOptimizer declares about a table it rewrote, carried
+/// alongside the routes so the analysis layer can audit what it *meant*
+/// instead of re-deriving expectations it cannot know.
 struct TableMeta {
-  EngineKind engine = EngineKind::kUpDown;
   /// A RouteOptimizer pass rewrote the table after emission.
   bool optimized = false;
   /// Deliberate per-channel route counts for parallel-cable groups, keyed
-  /// by (wire, a-to-b). Only engines/optimizers that assign cables on
-  /// purpose fill this in; when present for a whole group, sanlint's SL403
-  /// audits the table against the plan (and the plan's joint balance)
-  /// instead of assuming a per-direction uniform spread.
+  /// by (wire, a-to-b). Only the optimizer fills this in; when present for
+  /// a whole group, sanlint's SL403 audits the table against the plan (and
+  /// the plan's joint balance) instead of assuming a per-direction uniform
+  /// spread.
   std::map<std::pair<topo::WireId, bool>, std::size_t> cable_plan;
 };
 
@@ -64,7 +53,7 @@ struct RoutingResult {
   UpDownOrientation orientation;
   /// Routes for every ordered pair of distinct hosts.
   std::map<std::pair<topo::NodeId, topo::NodeId>, HostRoute> routes;
-  /// Which engine produced the table, and what it declared about it.
+  /// What the optimizer declared about the table, if it ran.
   TableMeta meta;
 
   [[nodiscard]] const HostRoute& route(topo::NodeId src,
@@ -89,8 +78,8 @@ RoutingResult compute_updown_routes(const topo::Topology& topo,
 
 /// Rebuilds `route.turns` from `route.nodes`/`route.wires` (§2.2 relative
 /// addressing). Used by everything that rewrites a route's wire choice —
-/// the optimizer, the DFS engine — so turn emission has exactly one
-/// implementation.
+/// the emitter, the optimizer, sanlint's sabotage detours — so turn
+/// emission has exactly one implementation.
 void recompute_turns(const topo::Topology& topo, HostRoute& route);
 
 }  // namespace sanmap::routing

@@ -84,22 +84,6 @@ UpDownOrientation::UpDownOrientation(const topo::Topology& topo,
   }
 }
 
-UpDownOrientation::UpDownOrientation(const topo::Topology& topo,
-                                     topo::NodeId root,
-                                     std::vector<int> labels)
-    : topo_(&topo), root_(root), labels_(std::move(labels)) {
-  SANMAP_CHECK_MSG(topo.num_switches() >= 1,
-                   "UP*/DOWN* needs at least one switch");
-  SANMAP_CHECK_MSG(topo::connected(topo), "UP*/DOWN* needs a connected map");
-  SANMAP_CHECK(topo.node_alive(root_) && topo.is_switch(root_));
-  SANMAP_CHECK_MSG(labels_.size() >= topo.node_capacity(),
-                   "orientation labels must cover every node slot");
-  for (const topo::NodeId n : topo.nodes()) {
-    SANMAP_CHECK_MSG(n == root_ || less(root_, n),
-                     "orientation root must be the order minimum");
-  }
-}
-
 bool UpDownOrientation::less(topo::NodeId a, topo::NodeId b) const {
   if (labels_[a] != labels_[b]) {
     return labels_[a] < labels_[b];

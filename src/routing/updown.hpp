@@ -34,16 +34,6 @@ class UpDownOrientation {
  public:
   UpDownOrientation(const topo::Topology& topo, const UpDownOptions& options);
 
-  /// Adopts an externally computed total order instead of BFS labeling:
-  /// `labels` is indexed by NodeId up to topo.node_capacity() and must rank
-  /// `root` (a live switch) at the order's minimum among live nodes. The
-  /// deadlock-freedom argument only needs the order to be total — up moves
-  /// strictly descend in (label, id), so any channel-dependency cycle would
-  /// need a down-to-up turn, which legal routes never make. The DFS engine
-  /// uses this with preorder labels (routing/engine.hpp).
-  UpDownOrientation(const topo::Topology& topo, topo::NodeId root,
-                    std::vector<int> labels);
-
   [[nodiscard]] topo::NodeId root() const { return root_; }
 
   /// True when traversing `wire` out of `from` moves up (toward the root).

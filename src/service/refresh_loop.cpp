@@ -327,7 +327,6 @@ bool RefreshLoop::try_publish(const topo::Topology& map,
   options.root_name = config_.root_name;
   options.route_seed = config_.route_seed;
   options.source = source;
-  options.engine = config_.engine;
   options.optimize = config_.optimize;
 
   std::optional<MapSnapshot> built;

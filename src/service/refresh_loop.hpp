@@ -68,10 +68,6 @@ struct RefreshConfig {
   /// fabric fails at snapshot build.
   std::string root_name;
   std::uint64_t route_seed = 1;
-  /// Routing engine for every published snapshot (`sanmap serve --engine`).
-  /// Any engine whose table certifies is publishable; the catalog gate
-  /// re-proves safety regardless of which engine produced the candidate.
-  routing::EngineKind engine = routing::EngineKind::kUpDown;
   /// Run the RouteOptimizer skew/funnel pass on every candidate table.
   bool optimize = false;
   /// Remap session knobs. A base.search_depth <= 0 is replaced with the

@@ -26,7 +26,7 @@ MapSnapshot build_snapshot(const topo::Topology& map,
                                       << " names no switch of the map");
   }
   routing::RoutingResult routes = routing::compute_routes(
-      compacted, options.engine, updown, options.route_seed);
+      compacted, routing::EngineKind::kUpDown, updown, options.route_seed);
   if (options.optimize) {
     routing::optimize_routes(compacted, routes);
   }

@@ -36,10 +36,6 @@ struct SnapshotOptions {
   std::uint64_t route_seed = 1;
   /// Provenance tag ("bootstrap", "remap", "file", ...) for diagnostics.
   std::string source;
-  /// Which deadlock-free routing engine computes the table. Any engine
-  /// whose table certifies is publishable; the publish gate re-proves
-  /// safety independently either way.
-  routing::EngineKind engine = routing::EngineKind::kUpDown;
   /// Run the skew/funnel RouteOptimizer pass over the table before the
   /// safety verdict (the optimizer re-proves legality after every rewrite,
   /// and the snapshot verdict re-checks the final table regardless).

@@ -13,8 +13,10 @@ namespace sanmap::service {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'A', 'N', 'M', 'S', 'N', 'A', 'P'};
-// v2 appends the routing engine kind and the optimizer flag after `source`;
-// v1 payloads decode with the defaults (updown, unoptimized).
+// v2 appends a routing-engine word and the optimizer flag after `source`;
+// v1 payloads decode with the defaults (unoptimized). UP*/DOWN* is the only
+// engine, so the engine word is always 0: encode writes it and decode
+// refuses anything else rather than recompute a table it cannot reproduce.
 constexpr std::uint32_t kVersion = 2;
 
 std::uint64_t fnv1a(const char* data, std::size_t size) {
@@ -115,7 +117,7 @@ std::string encode_snapshot(const MapSnapshot& snapshot) {
   put_u64(payload, snapshot.options.route_seed);
   put_str(payload, snapshot.options.root_name);
   put_str(payload, snapshot.options.source);
-  put_u32(payload, static_cast<std::uint32_t>(snapshot.options.engine));
+  put_u32(payload, 0);  // routing engine: UP*/DOWN*
   payload.push_back(snapshot.options.optimize ? 1 : 0);
   put_str(payload, topo::to_text(snapshot.map));
 
@@ -169,12 +171,16 @@ MapSnapshot decode_snapshot(const std::string& bytes) {
   options.source = payload.str();
   if (version >= 2) {
     const std::uint32_t engine = payload.u32();
-    if (engine > static_cast<std::uint32_t>(routing::EngineKind::kDfs)) {
-      throw std::runtime_error("snapshot: unknown routing engine " +
+    if (engine != 0) {
+      throw std::runtime_error("snapshot: unsupported routing engine " +
                                std::to_string(engine));
     }
-    options.engine = static_cast<routing::EngineKind>(engine);
-    options.optimize = payload.i8() != 0;
+    const std::int8_t optimize = payload.i8();
+    if (optimize != 0 && optimize != 1) {
+      throw std::runtime_error("snapshot: unsupported optimizer flag " +
+                               std::to_string(optimize));
+    }
+    options.optimize = optimize == 1;
   }
   const std::string map_text = payload.str();
 

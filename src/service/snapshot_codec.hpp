@@ -1,14 +1,16 @@
 // Binary snapshot persistence: the catalog's at-rest format.
 //
-// Layout ("sanmap snapshot v1", little-endian):
+// Layout ("sanmap snapshot v2", little-endian):
 //
 //   magic   8 bytes  "SANMSNAP"
-//   version u32      1
+//   version u32      2 (1 is still decoded: it lacks engine and optimize)
 //   size    u64      payload byte count
 //   check   u64      FNV-1a 64 of the payload bytes
 //   payload:
 //     epoch u64 | created_at_ns i64 | route_seed u64
-//     root_name str | source str | map_text str
+//     root_name str | source str
+//     engine u32 (always 0, UP*/DOWN*) | optimize u8 (0 or 1)
+//     map_text str
 //     route_count u32
 //     per route: src_name str, dst_name str, turn_count u32, turns i8...
 //   (str = u32 length + raw bytes)
@@ -34,7 +36,8 @@ namespace sanmap::service {
 std::string encode_snapshot(const MapSnapshot& snapshot);
 
 /// Parses and verifies a binary snapshot. Throws std::runtime_error on a
-/// bad magic/version, truncation, checksum mismatch, or a route set that
+/// bad magic/version, truncation, checksum mismatch, an engine word other
+/// than 0 or an optimizer flag other than 0/1, or a route set that
 /// disagrees with this build's router. The returned snapshot keeps its
 /// recorded epoch (a catalog re-publish assigns a fresh one).
 MapSnapshot decode_snapshot(const std::string& bytes);

@@ -1,13 +1,14 @@
-// The routing::Engine interface: the DFS-order load-aware engine next to
-// UP*/DOWN*, the Mendlovic–Matias acyclicity checker, the RouteOptimizer,
-// and the regressions this PR fixes — SL403 consuming the engine's cable
-// plan, self_heal_routes escalating on an unroutable partial remap, the
-// paranoid gate diffing the certified route set, and the snapshot codec
-// carrying engine + optimizer provenance (v2, with v1 back-compat).
+// UP*/DOWN* routing beyond the emitter itself: agreement of the static
+// acyclicity proofs on raw and optimized tables, the RouteOptimizer, and
+// the regressions that came with it — SL403 consuming the optimizer's
+// cable plan, self_heal_routes escalating on an unroutable partial remap,
+// the paranoid gate diffing the certified route set, and the snapshot
+// codec's v2 provenance words (optimizer flag round trip, engine word
+// refusal, v1 back-compat).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "common/rng.hpp"
 #include "routing/congestion.hpp"
 #include "routing/deadlock.hpp"
-#include "routing/engine.hpp"
 #include "routing/optimizer.hpp"
 #include "routing/route_health.hpp"
 #include "routing/routes.hpp"
@@ -49,8 +49,8 @@ bool same_tables(const routing::RoutingResult& a,
 }
 
 /// Full certification stack for a table: 3-color DFS acyclicity, order
-/// compliance, the MM condition, and both analysis-layer certificates
-/// surviving their independent re-checkers.
+/// compliance, and both analysis-layer certificates surviving their
+/// independent re-checkers.
 ::testing::AssertionResult certifies(const topo::Topology& t,
                                      const routing::RoutingResult& routes) {
   const auto paths = routing::route_channel_paths(t, routes);
@@ -60,10 +60,6 @@ bool same_tables(const routing::RoutingResult& a,
   }
   if (!routing::updown_compliant(routes)) {
     return ::testing::AssertionFailure() << "a down-to-up turn slipped in";
-  }
-  const auto mm = routing::check_mm_condition(t, paths);
-  if (!mm.holds) {
-    return ::testing::AssertionFailure() << "MM condition violated";
   }
   std::vector<std::string> why;
   const auto legality = analysis::build_legality_certificate(t, routes);
@@ -83,49 +79,11 @@ bool same_tables(const routing::RoutingResult& a,
   return ::testing::AssertionSuccess();
 }
 
-TEST(Engine, RegistryAndParsing) {
-  EXPECT_EQ(routing::engine_for(routing::EngineKind::kUpDown).name(),
-            std::string("updown"));
-  EXPECT_EQ(routing::engine_for(routing::EngineKind::kDfs).name(),
-            std::string("dfs"));
-  EXPECT_EQ(routing::parse_engine("dfs"), routing::EngineKind::kDfs);
-  EXPECT_EQ(routing::parse_engine("updown"), routing::EngineKind::kUpDown);
-  EXPECT_FALSE(routing::parse_engine("bfs").has_value());
-  EXPECT_STREQ(routing::to_string(routing::EngineKind::kDfs), "dfs");
-}
-
-TEST(Engine, DfsCertifiesOnTheNowCluster) {
-  const topo::Topology t = topo::now_cluster();
-  const auto routes = routing::compute_routes(t, routing::EngineKind::kDfs);
-  EXPECT_EQ(routes.meta.engine, routing::EngineKind::kDfs);
-  EXPECT_FALSE(routes.meta.optimized);
-  EXPECT_EQ(routes.routes.size(),
-            t.num_hosts() * (t.num_hosts() - 1));
-  EXPECT_TRUE(certifies(t, routes));
-}
-
-TEST(Engine, DfsIsDeterministicAndSeedIndependent) {
-  const topo::Topology t = topo::now_cluster();
-  const auto a = routing::compute_routes(t, routing::EngineKind::kDfs, {}, 1);
-  const auto b = routing::compute_routes(t, routing::EngineKind::kDfs, {}, 99);
-  EXPECT_TRUE(same_tables(a, b));
-}
-
-TEST(Engine, DfsCutsMaxChannelLoadOnFig5) {
-  const topo::Topology t = topo::now_cluster();
-  const auto updown =
-      routing::compute_routes(t, routing::EngineKind::kUpDown);
-  const auto dfs = routing::compute_routes(t, routing::EngineKind::kDfs);
-  const auto lu = routing::channel_load(t, updown);
-  const auto ld = routing::channel_load(t, dfs);
-  EXPECT_LT(ld.max_channel_load, lu.max_channel_load);
-}
-
-// The 200-topology property sweep: both engines must produce tables whose
-// channel-dependency graph satisfies the Mendlovic–Matias condition, in
-// agreement with the Kahn-based DeadlockCertificate checker and the 3-color
-// DFS — three independent acyclicity algorithms, one verdict.
-TEST(Engine, MmConditionHoldsOn200RandomTopologies) {
+// The 200-topology property sweep: on raw and optimized UP*/DOWN* tables
+// the 3-color DFS verdict must agree with the analyzer's Kahn-based
+// DeadlockCertificate, and that certificate must survive its independent
+// checker — two acyclicity algorithms, one verdict.
+TEST(Routing, AcyclicityProofsAgreeOn200RandomTopologies) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     common::Rng rng(seed);
     // 8 ports a switch: the spanning tree burns 2(s-1) ends and each extra
@@ -137,20 +95,22 @@ TEST(Engine, MmConditionHoldsOn200RandomTopologies) {
         static_cast<std::uint64_t>(switches)));
     const topo::Topology t =
         topo::random_irregular(switches, hosts, extra, rng);
-    for (const auto kind :
-         {routing::EngineKind::kUpDown, routing::EngineKind::kDfs}) {
-      const auto routes = routing::compute_routes(t, kind, {}, seed);
+    auto routes = routing::compute_updown_routes(t, {}, seed);
+    for (const bool optimized : {false, true}) {
+      if (optimized) {
+        routing::optimize_routes(t, routes);
+      }
       const auto paths = routing::route_channel_paths(t, routes);
-      const auto mm = routing::check_mm_condition(t, paths);
       const auto dfs3 = routing::analyze_channel_paths(t, paths);
-      const auto cert = analysis::build_deadlock_certificate(t, paths);
+      const analysis::AnalysisResult full = analysis::analyze(t, routes);
       std::vector<std::string> why;
-      ASSERT_TRUE(mm.holds) << "seed " << seed << " engine "
-                            << routing::to_string(kind);
-      ASSERT_EQ(mm.holds, dfs3.deadlock_free) << "seed " << seed;
-      ASSERT_EQ(mm.holds, cert.deadlock_free) << "seed " << seed;
-      ASSERT_TRUE(analysis::check_deadlock(paths, cert, &why))
-          << "seed " << seed << ": "
+      ASSERT_TRUE(full.analyzed_routes) << "seed " << seed;
+      ASSERT_TRUE(dfs3.deadlock_free)
+          << "seed " << seed << " optimized " << optimized;
+      ASSERT_EQ(dfs3.deadlock_free, full.deadlock.deadlock_free)
+          << "seed " << seed << " optimized " << optimized;
+      ASSERT_TRUE(analysis::check_deadlock(paths, full.deadlock, &why))
+          << "seed " << seed << " optimized " << optimized << ": "
           << (why.empty() ? "?" : why.front());
       ASSERT_TRUE(routing::updown_compliant(routes)) << "seed " << seed;
     }
@@ -159,21 +119,18 @@ TEST(Engine, MmConditionHoldsOn200RandomTopologies) {
 
 TEST(Optimizer, HoldsSafetyAndNeverWorsensTheMax) {
   const topo::Topology t = topo::now_cluster();
-  for (const auto kind :
-       {routing::EngineKind::kUpDown, routing::EngineKind::kDfs}) {
-    auto routes = routing::compute_routes(t, kind);
-    const auto report = routing::optimize_routes(t, routes);
-    EXPECT_LE(report.max_load_after, report.max_load_before)
-        << routing::to_string(kind);
-    EXPECT_TRUE(routes.meta.optimized);
-    EXPECT_TRUE(certifies(t, routes)) << routing::to_string(kind);
-  }
+  auto routes = routing::compute_updown_routes(t);
+  EXPECT_TRUE(certifies(t, routes));
+  const auto report = routing::optimize_routes(t, routes);
+  EXPECT_LE(report.max_load_after, report.max_load_before);
+  EXPECT_TRUE(routes.meta.optimized);
+  EXPECT_TRUE(certifies(t, routes));
 }
 
 TEST(Optimizer, IsDeterministic) {
   const topo::Topology t = topo::now_cluster();
-  auto a = routing::compute_routes(t, routing::EngineKind::kUpDown);
-  auto b = routing::compute_routes(t, routing::EngineKind::kUpDown);
+  auto a = routing::compute_updown_routes(t);
+  auto b = routing::compute_updown_routes(t);
   routing::optimize_routes(t, a);
   routing::optimize_routes(t, b);
   EXPECT_TRUE(same_tables(a, b));
@@ -194,7 +151,7 @@ TEST(Optimizer, RebalancesASkewedParallelTrunk) {
     t.connect(t.add_host("b" + std::to_string(i)), 0, s1,
               static_cast<topo::Port>(2 + i));
   }
-  auto routes = routing::compute_routes(t, routing::EngineKind::kUpDown);
+  auto routes = routing::compute_updown_routes(t);
   routing::optimize_routes(t, routes);
   EXPECT_TRUE(certifies(t, routes));
   std::size_t joint0 = 0;
@@ -217,12 +174,12 @@ TEST(Optimizer, RebalancesASkewedParallelTrunk) {
 }
 
 // Regression (SL403): the skew lint used to re-derive a per-direction
-// uniformity expectation from the route table even when the engine declared
-// a per-group assignment. A deliberately direction-split deal — all a->b
-// traffic on one cable, all b->a on its sibling — is jointly balanced, yet
-// the recomputed heuristic flagged it. The lint must consume the engine's
-// group metadata instead.
-TEST(Lints, Sl403ConsumesTheEngineCablePlan) {
+// uniformity expectation from the route table even when the optimizer
+// declared a per-group assignment. A deliberately direction-split deal —
+// all a->b traffic on one cable, all b->a on its sibling — is jointly
+// balanced, yet the recomputed heuristic flagged it. The lint must consume
+// the declared group metadata instead.
+TEST(Lints, Sl403ConsumesTheDeclaredCablePlan) {
   topo::Topology t;
   const auto s0 = t.add_switch("s0");
   const auto s1 = t.add_switch("s1");
@@ -234,7 +191,7 @@ TEST(Lints, Sl403ConsumesTheEngineCablePlan) {
     t.connect(t.add_host("b" + std::to_string(i)), 0, s1,
               static_cast<topo::Port>(2 + i));
   }
-  auto routes = routing::compute_routes(t, routing::EngineKind::kUpDown);
+  auto routes = routing::compute_updown_routes(t);
   // Force the direction split: every s0->s1 crossing rides w0, every
   // s1->s0 crossing rides w1.
   for (auto& [key, route] : routes.routes) {
@@ -247,7 +204,7 @@ TEST(Lints, Sl403ConsumesTheEngineCablePlan) {
     }
     routing::recompute_turns(t, route);
   }
-  // Declare the split as the engine's plan (9 routes per direction).
+  // Declare the split as the table's plan (9 routes per direction).
   const auto count = [&](topo::WireId w, bool a_to_b) {
     std::size_t n = 0;
     for (const auto& [key, route] : routes.routes) {
@@ -290,7 +247,7 @@ TEST(Lints, Sl403ConsumesTheEngineCablePlan) {
 }
 
 // Regression: self_heal_routes assumed every remap produced a map the
-// engines could accept. A partial remap of a quarantined region (here: the
+// router could accept. A partial remap of a quarantined region (here: the
 // severed s3 leaf of the quarantined-region corpus case, with the core —
 // master included — missing) used to crash through the orientation's
 // connectivity SANMAP_CHECK; it must escalate to a full recompute instead.
@@ -346,7 +303,7 @@ TEST(SelfHeal, EscalatesAnUnroutablePartialRemap) {
 // too.
 TEST(ParanoidGate, ComparatorDiffsTheCertifiedRouteSet) {
   const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
-  const auto routes = routing::compute_routes(t, routing::EngineKind::kUpDown);
+  const auto routes = routing::compute_updown_routes(t);
   const analysis::AnalysisResult a = analysis::analyze(t, routes);
   ASSERT_TRUE(a.analyzed_routes);
   ASSERT_FALSE(a.legality.routes.empty());
@@ -380,25 +337,92 @@ std::uint64_t fnv1a(const char* data, std::size_t size) {
   return hash;
 }
 
-TEST(SnapshotCodec, V2CarriesEngineAndOptimizerProvenance) {
+constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
+
+std::uint32_t u32_at(const std::string& bytes, std::size_t pos) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[pos + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void put_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+  }
+}
+
+void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+  }
+}
+
+/// Offset of the v2 engine word: past epoch + created + seed, then the two
+/// length-prefixed strings root_name and source.
+std::size_t engine_word_at(const std::string& bytes) {
+  std::size_t pos = kHeader + 8 + 8 + 8;
+  pos += 4 + u32_at(bytes, pos);  // root_name
+  pos += 4 + u32_at(bytes, pos);  // source
+  return pos;
+}
+
+/// Rewrites the header so version, size, and checksum agree with an edited
+/// payload — the edit must be refused on its content, not on bit rot.
+void reseal(std::string& bytes, std::uint32_t version) {
+  put_u32(bytes, 8, version);
+  put_u64(bytes, 12, bytes.size() - kHeader);
+  put_u64(bytes, 20, fnv1a(bytes.data() + kHeader, bytes.size() - kHeader));
+}
+
+std::string encoded_fig4(const service::SnapshotOptions& options) {
+  const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
+  return service::encode_snapshot(
+      service::build_snapshot(t, options, common::SimTime::ms(7)));
+}
+
+TEST(SnapshotCodec, V2RoundTripsTheOptimizerFlag) {
   const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
   service::SnapshotOptions options;
-  options.engine = routing::EngineKind::kDfs;
   options.optimize = true;
   options.source = "test";
   const service::MapSnapshot snapshot =
       service::build_snapshot(t, options, common::SimTime::ms(7));
   EXPECT_TRUE(snapshot.deadlock_free);
   EXPECT_TRUE(snapshot.compliant);
-  EXPECT_EQ(snapshot.routes.meta.engine, routing::EngineKind::kDfs);
   EXPECT_TRUE(snapshot.routes.meta.optimized);
 
   const std::string bytes = service::encode_snapshot(snapshot);
+  EXPECT_EQ(u32_at(bytes, engine_word_at(bytes)), 0u);
   const service::MapSnapshot decoded = service::decode_snapshot(bytes);
-  EXPECT_EQ(decoded.options.engine, routing::EngineKind::kDfs);
   EXPECT_TRUE(decoded.options.optimize);
+  EXPECT_TRUE(decoded.routes.meta.optimized);
   EXPECT_EQ(decoded.routes.routes.size(), snapshot.routes.routes.size());
-  EXPECT_EQ(decoded.routes.meta.engine, routing::EngineKind::kDfs);
+  EXPECT_EQ(decoded.routes.meta.cable_plan, snapshot.routes.meta.cable_plan);
+}
+
+TEST(SnapshotCodec, RefusesATableItCannotReproduce) {
+  // A checksummed v2 payload naming engine 1 (the retired DFS engine):
+  // this build has no such router, so decoding must refuse it instead of
+  // recomputing an UP*/DOWN* table under the wrong name.
+  std::string bytes = encoded_fig4({});
+  const std::size_t at = engine_word_at(bytes);
+  put_u32(bytes, at, 1);
+  reseal(bytes, 2);
+  try {
+    (void)service::decode_snapshot(bytes);
+    FAIL() << "engine word 1 decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "snapshot: unsupported routing engine 1");
+  }
+
+  // The optimizer flag is a boolean byte; anything but 0/1 is refused.
+  bytes = encoded_fig4({});
+  bytes[at + 4] = 2;
+  reseal(bytes, 2);
+  EXPECT_THROW((void)service::decode_snapshot(bytes), std::runtime_error);
 }
 
 TEST(SnapshotCodec, DecodesV1PayloadsWithDefaultProvenance) {
@@ -409,43 +433,10 @@ TEST(SnapshotCodec, DecodesV1PayloadsWithDefaultProvenance) {
   const service::MapSnapshot snapshot =
       service::build_snapshot(t, {}, common::SimTime::ms(3));
   std::string bytes = service::encode_snapshot(snapshot);
-
-  constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
-  const auto u32_at = [&](std::size_t pos) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(bytes[pos + static_cast<std::size_t>(
-                                                         i)]))
-           << (8 * i);
-    }
-    return v;
-  };
-  // Walk the payload to the splice point: epoch + created + seed, then two
-  // length-prefixed strings.
-  std::size_t pos = kHeader + 8 + 8 + 8;
-  pos += 4 + u32_at(pos);  // root_name
-  pos += 4 + u32_at(pos);  // source
-  bytes.erase(pos, 5);
-
-  const auto put_u32 = [&](std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes[at + static_cast<std::size_t>(i)] =
-          static_cast<char>((v >> (8 * i)) & 0xffu);
-    }
-  };
-  const auto put_u64 = [&](std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes[at + static_cast<std::size_t>(i)] =
-          static_cast<char>((v >> (8 * i)) & 0xffu);
-    }
-  };
-  put_u32(8, 1);  // version
-  put_u64(12, bytes.size() - kHeader);
-  put_u64(20, fnv1a(bytes.data() + kHeader, bytes.size() - kHeader));
+  bytes.erase(engine_word_at(bytes), 5);
+  reseal(bytes, 1);
 
   const service::MapSnapshot decoded = service::decode_snapshot(bytes);
-  EXPECT_EQ(decoded.options.engine, routing::EngineKind::kUpDown);
   EXPECT_FALSE(decoded.options.optimize);
   EXPECT_EQ(decoded.routes.routes.size(), snapshot.routes.routes.size());
 }

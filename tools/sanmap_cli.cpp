@@ -8,16 +8,13 @@
 //                             myricom|identity|randomized]
 //                 [--federate SPEC [--overlap N]]
 //                 [--collision cut-through|circuit] [--out FILE]
-//   sanmap routes --in FILE [--root NAME] [--sample N]
-//                 [--engine updown|dfs] [--optimize]
-//   sanmap lint   --in FILE [--root NAME] [--seed N] [--json]
-//                 [--engine updown|dfs] [--optimize]
+//   sanmap routes --in FILE [--root NAME] [--sample N] [--optimize]
+//   sanmap lint   --in FILE [--root NAME] [--seed N] [--json] [--optimize]
 //                 [--map-only] [--hop-limit N] [--imbalance-threshold X]
 //                 [--sabotage-turn] [--diff OLD]
 //   sanmap dot    --in FILE [--out FILE]
 //   sanmap serve  --in FILE [--master HOST] [--ticks N] [--interval-ms M]
-//                 [--federate SPEC [--overlap N]] [--paranoid]
-//                 [--engine updown|dfs] [--optimize]
+//                 [--federate SPEC [--overlap N]] [--paranoid] [--optimize]
 //                 [--faults SPEC | --churn SPEC [--churn-seed N]]
 //                 [--snapshot-out FILE]
 //   sanmap query  --snapshot FILE [--src HOST --dst HOST] [--sample N]
@@ -44,7 +41,6 @@
 #include "myricom/myricom_mapper.hpp"
 #include "probe/probe_engine.hpp"
 #include "routing/deadlock.hpp"
-#include "routing/engine.hpp"
 #include "routing/optimizer.hpp"
 #include "routing/routes.hpp"
 #include "service/map_catalog.hpp"
@@ -86,15 +82,6 @@ void write_output(const std::string& path, const std::string& content) {
   }
   out << content;
   std::cerr << "wrote " << path << "\n";
-}
-
-routing::EngineKind parse_engine_flag(const std::string& name) {
-  const auto kind = routing::parse_engine(name);
-  if (!kind) {
-    throw std::runtime_error("unknown routing engine " + name +
-                             " (expected updown or dfs)");
-  }
-  return *kind;
 }
 
 topo::NodeId pick_mapper(const topo::Topology& t, const std::string& name) {
@@ -427,7 +414,6 @@ int cmd_routes(int argc, const char* const* argv) {
                            "from hosts)");
   flags.define("sample", "10", "sample routes to print");
   flags.define("seed", "1", "load-balance seed");
-  flags.define("engine", "updown", "routing engine: updown|dfs");
   flags.define("optimize", "false",
                "run the skew/funnel route optimizer over the table");
   if (!flags.parse(argc, argv)) {
@@ -445,9 +431,8 @@ int cmd_routes(int argc, const char* const* argv) {
       throw std::runtime_error("no switch named " + root);
     }
   }
-  routing::RoutingResult routes = routing::compute_routes(
-      t, parse_engine_flag(flags.get("engine")), options,
-      static_cast<std::uint64_t>(flags.get_int("seed")));
+  routing::RoutingResult routes = routing::compute_updown_routes(
+      t, options, static_cast<std::uint64_t>(flags.get_int("seed")));
   if (flags.get_bool("optimize")) {
     const routing::OptimizerReport opt = routing::optimize_routes(t, routes);
     std::cout << "optimizer     : max channel load " << opt.max_load_before
@@ -456,8 +441,6 @@ int cmd_routes(int argc, const char* const* argv) {
               << (opt.reverted ? ", 1+ rounds reverted" : "") << ")\n";
   }
   const auto analysis = routing::analyze_routes(t, routes);
-  std::cout << "engine        : " << routing::to_string(routes.meta.engine)
-            << "\n";
   std::cout << "root          : " << t.name(routes.orientation.root())
             << "\n";
   std::cout << "routes        : " << routes.routes.size() << " (mean "
@@ -549,8 +532,6 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.define("interval-ms", "50", "virtual time between checks");
   flags.define("root", "", "UP*/DOWN* root switch name");
   flags.define("seed", "1", "route load-balance seed");
-  flags.define("engine", "updown",
-               "routing engine for every published snapshot: updown|dfs");
   flags.define("optimize", "false",
                "run the skew/funnel route optimizer on every candidate");
   flags.define("faults", "",
@@ -593,7 +574,6 @@ int cmd_serve(int argc, const char* const* argv) {
       common::SimTime::ms(flags.get_int("interval-ms"));
   config.root_name = flags.get("root");
   config.route_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.engine = parse_engine_flag(flags.get("engine"));
   config.optimize = flags.get_bool("optimize");
   config.paranoid = flags.get_bool("paranoid");
   service::RefreshLoop loop(net, catalog, config);
@@ -617,7 +597,6 @@ int cmd_serve(int argc, const char* const* argv) {
     snapshot_options.root_name = flags.get("root");
     snapshot_options.route_seed =
         static_cast<std::uint64_t>(flags.get_int("seed"));
-    snapshot_options.engine = config.engine;
     snapshot_options.optimize = config.optimize;
     snapshot_options.source = "regional-bootstrap";
     const auto publish = catalog.publish(service::build_snapshot(
@@ -818,7 +797,6 @@ int print_lint_result(const analysis::AnalysisResult& result) {
 // matter what the report itself says.
 int lint_diff(const topo::Topology& old_fabric, const topo::Topology& fabric,
               const std::string& root_name, std::uint64_t seed,
-              routing::EngineKind engine,
               const analysis::AnalyzerOptions& options, bool json) {
   const auto route = [&](const topo::Topology& t) {
     routing::UpDownOptions route_options;
@@ -832,7 +810,7 @@ int lint_diff(const topo::Topology& old_fabric, const topo::Topology& fabric,
         throw std::runtime_error("no switch named " + root_name);
       }
     }
-    return routing::compute_routes(t, engine, route_options, seed);
+    return routing::compute_updown_routes(t, route_options, seed);
   };
   const routing::RoutingResult old_routes = route(old_fabric);
   const routing::RoutingResult new_routes = route(fabric);
@@ -910,7 +888,6 @@ int cmd_lint(int argc, const char* const* argv) {
                "input: topology v1, sanmap dot export, or .sancase");
   flags.define("root", "", "UP*/DOWN* root switch name");
   flags.define("seed", "1", "route load-balance seed");
-  flags.define("engine", "updown", "routing engine: updown|dfs");
   flags.define("optimize", "false",
                "run the skew/funnel route optimizer before linting");
   flags.define("json", "false", "emit the full report as JSON");
@@ -944,8 +921,7 @@ int cmd_lint(int argc, const char* const* argv) {
     return lint_diff(read_lint_input(flags.get("diff")), fabric,
                      flags.get("root"),
                      static_cast<std::uint64_t>(flags.get_int("seed")),
-                     parse_engine_flag(flags.get("engine")), options,
-                     flags.get_bool("json"));
+                     options, flags.get_bool("json"));
   }
 
   analysis::AnalysisResult result;
@@ -977,8 +953,8 @@ int cmd_lint(int argc, const char* const* argv) {
       }
     }
     if (local.num_switches() >= 1) {
-      routing::RoutingResult routes = routing::compute_routes(
-          local, parse_engine_flag(flags.get("engine")), route_options,
+      routing::RoutingResult routes = routing::compute_updown_routes(
+          local, route_options,
           static_cast<std::uint64_t>(flags.get_int("seed")));
       if (flags.get_bool("optimize")) {
         routing::optimize_routes(local, routes);
