@@ -1,6 +1,6 @@
 // Incremental sanlint under rolling churn: per-epoch analysis cost of the
-// dirty-region engine (the publish gate's production path — reanalyze plus
-// the independent DeltaChecker) against a from-scratch analyze() of the
+// dirty-region engine (reanalyze plus the independent DeltaChecker, the
+// path behind `sanmap lint --diff`) against a from-scratch analyze() of the
 // same (map, routes) pair, on megafabric-sized fat trees.
 //
 // Fabric: mega_fat_tree at several leaf widths (128/256 leaves in --smoke,
@@ -14,7 +14,7 @@
 // switch-switch wire on even epochs, revive it on odd ones (reconnection
 // mints a fresh wire id; candidates are rescanned every epoch because ids
 // are append-only). Victims are drawn from wires OFF the current route
-// table: that is the fast-path regime the gate is designed for (fabric
+// table: that is the fast-path regime the engine is designed for (fabric
 // churn around a stable table — on a 4k-switch fabric the vast majority of
 // wires carry no route). Killing a route-carrying wire instead reshuffles
 // a large fraction of the table through the router's load-balance

@@ -7,9 +7,9 @@
 // wires that died under it); the robust session converges to the map of
 // the *surviving* network (Theorem 1's N - F with F taken at convergence
 // time), reporting the cut-off region by name. Two further sections show
-// flapping-link quarantine and the route-health repair loop driving
-// distributed UP*/DOWN* routes back to 100% delivery. Everything is
-// deterministic under the fixed seeds.
+// flapping-link quarantine and the service's refresh loop driving its
+// distributed UP*/DOWN* routes back to 100% delivery after a link death.
+// Everything is deterministic under the fixed seeds.
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -17,7 +17,7 @@
 #include "common/table.hpp"
 #include "mapper/robust_mapper.hpp"
 #include "routing/route_health.hpp"
-#include "routing/updown.hpp"
+#include "service/refresh_loop.hpp"
 #include "simnet/fault_schedule.hpp"
 
 namespace {
@@ -187,8 +187,7 @@ void flapping_section() {
 
 void route_health_section() {
   std::cout << "=== route health: break, detect, remap, redistribute ===\n";
-  topo::Topology t = topo::torus(3, 3, 1);
-  const topo::NodeId mapper_host = t.hosts().front();
+  const topo::Topology t = topo::torus(3, 3, 1);
   topo::WireId victim = t.wires().front();
   for (const topo::WireId w : t.wires()) {
     const topo::Wire& wire = t.wire(w);
@@ -198,40 +197,44 @@ void route_health_section() {
     }
   }
 
+  // The service's self-healing loop: it bootstraps on the intact fabric,
+  // then every tick checks the served routes and, on breakage, remaps,
+  // redistributes and publishes through the certifying gate.
   simnet::FaultSchedule schedule;
-  schedule.link_down(victim, common::SimTime::ms(150));
   simnet::Network net(t);
   net.attach_faults(&schedule);
-  probe::ProbeEngine engine(net, mapper_host);
+  service::MapCatalog catalog;
+  service::RefreshConfig config;
+  config.master_name = t.name(t.hosts().front());
+  service::RefreshLoop loop(net, catalog, config);
+  const service::TickReport boot = loop.bootstrap();
+  const common::SimTime death = loop.now() + common::SimTime::ms(1);
+  schedule.link_down(victim, death);
+  std::cout << "bootstrap epoch " << boot.epoch_after << " at "
+            << boot.at.str() << " (link dies at " << death.str() << ")\n";
 
-  mapper::MapperConfig base;
-  base.search_depth = topo::search_depth(t, mapper_host);
-  const auto initial = mapper::BerkeleyMapper(engine, base).run();
-  std::cout << "initial map at " << initial.elapsed.str()
-            << " (link dies at 150 ms)\n";
+  constexpr int kMaxTicks = 8;
+  std::size_t broken_seen = 0;
+  int ticks = 0;
+  bool healed = false;
+  while (ticks < kMaxTicks && !healed) {
+    const service::TickReport report = loop.tick();
+    ++ticks;
+    broken_seen += report.broken;
+    healed = report.swapped();
+  }
 
-  routing::SelfHealConfig heal;
-  heal.master_name = t.name(mapper_host);
-  const routing::RemapFn remap = [&](common::SimTime& clock) {
-    engine.set_clock_base(clock);
-    engine.reset();
-    mapper::RobustConfig robust;
-    robust.base = base;
-    auto session = mapper::RobustMapper(engine, robust).run();
-    clock = session.elapsed;
-    return std::move(session.map);
-  };
-  const auto healed = routing::self_heal_routes(net, initial.map, heal,
-                                                remap, common::SimTime::ms(160));
-
-  const auto routes = routing::compute_updown_routes(healed.map, heal.updown,
-                                                     heal.route_seed);
+  const service::SnapshotPtr current = catalog.current();
   const auto replay =
-      routing::check_routes(net, routes, healed.map, healed.elapsed);
-  std::cout << "broken routes seen: " << healed.total_broken << " over "
-            << healed.iterations << " iteration(s); "
-            << (healed.converged ? "converged" : "DID NOT CONVERGE")
-            << "; final delivery "
+      routing::check_routes(net, current->routes, current->map, loop.now());
+  std::cout << "broken routes seen: " << broken_seen << "; ";
+  if (healed) {
+    std::cout << "healed (epoch " << current->epoch << ") in " << ticks
+              << " tick(s)";
+  } else {
+    std::cout << "DID NOT HEAL in " << ticks << " tick(s)";
+  }
+  std::cout << "; final delivery "
             << common::fmt_percent(replay.delivery_ratio(), 1) << " ("
             << replay.routes_checked << " routes on the surviving fabric)\n";
 }

@@ -14,6 +14,18 @@ namespace {
 /// the key space never exhausts in practice (2^44 appends).
 constexpr std::uint64_t kRankGap = std::uint64_t{1} << 20;
 
+/// Escalate when dirty wires+nodes exceed this fraction of the live fabric
+/// (but never below kMinDirty entities — small fabrics always qualify for
+/// the fast path).
+constexpr double kDirtyFraction = 0.125;
+constexpr std::size_t kMinDirty = 64;
+/// Escalate when changed+removed routes exceed this fraction of the table
+/// (snapshot compaction shifts every id past a removal; a diff that large is
+/// cheaper to re-analyze than to localize).
+constexpr double kRouteFraction = 0.5;
+/// Pearce-Kelly affected-region cap; past it the order is rebuilt.
+constexpr std::size_t kRepairWindow = 256;
+
 std::size_t channel_id(const routing::Channel& c) {
   return static_cast<std::size_t>(c.wire) * 2 +
          static_cast<std::size_t>(c.a_to_b);
@@ -451,10 +463,19 @@ AnalysisState::Result AnalysisState::reanalyze(
   // ---- value diff: map side ----------------------------------------------
   const std::size_t ncap = map.node_capacity();
   const std::size_t wcap = map.wire_capacity();
+  // The diff is by id, so it holds only while every id alive on both sides
+  // still names the same device: same node kind, same wire endpoints. Two
+  // independently compacted maps (a remap that lost part of the fabric and
+  // found it again) can renumber without shrinking; a liveness-only diff
+  // would then repair the root BFS — hence the labels — and the per-source
+  // BFS caches against edges that no longer exist. Every id moved: escalate.
   for (topo::NodeId n = 0; n < ncap; ++n) {
     const bool was = n < node_fp_.size() && node_fp_[n].alive;
-    if (map.node_alive(n) != was) {
+    const bool now = map.node_alive(n);
+    if (now != was) {
       delta.dirty_nodes.push_back(n);
+    } else if (now && node_fp_[n].host != map.is_host(n)) {
+      return full_path(map, routes, EscalationReason::kDiffTooLarge);
     }
   }
   std::vector<topo::DynamicBfs::Edge> removed_e;
@@ -462,6 +483,12 @@ AnalysisState::Result AnalysisState::reanalyze(
   for (topo::WireId w = 0; w < wcap; ++w) {
     const bool was = w < wire_fp_.size() && wire_fp_[w].alive;
     const bool now = map.wire_alive(w);
+    if (was && now) {
+      const topo::Wire& wire = map.wire(w);
+      if (wire.a.node != wire_fp_[w].a || wire.b.node != wire_fp_[w].b) {
+        return full_path(map, routes, EscalationReason::kDiffTooLarge);
+      }
+    }
     if (was == now) {
       continue;
     }
@@ -482,13 +509,13 @@ AnalysisState::Result AnalysisState::reanalyze(
   const std::size_t live = map.num_nodes() + map.num_wires();
   const std::size_t dirty = delta.dirty_nodes.size() + delta.dirty_wires.size();
   const auto dirty_cap = std::max(
-      options_.min_dirty,
-      static_cast<std::size_t>(options_.dirty_fraction *
+      kMinDirty,
+      static_cast<std::size_t>(kDirtyFraction *
                                static_cast<double>(live)));
   const std::size_t churn =
       delta.changed_routes.size() + delta.removed_routes.size();
   const auto churn_cap = static_cast<std::size_t>(
-      options_.route_fraction *
+      kRouteFraction *
       static_cast<double>(std::max<std::size_t>(routes.routes.size(), 1)));
   if (dirty > dirty_cap || churn > churn_cap) {
     return full_path(map, routes, EscalationReason::kDiffTooLarge);
@@ -901,7 +928,7 @@ bool AnalysisState::insert_order_edge(std::size_t from, std::size_t to,
       remove_order_edge(from, to);
       return false;
     }
-    if (fwd.size() > options_.repair_window) {
+    if (fwd.size() > kRepairWindow) {
       overflow = true;
       break;
     }
@@ -922,7 +949,7 @@ bool AnalysisState::insert_order_edge(std::size_t from, std::size_t to,
       if (!bwd.insert(x).second) {
         continue;
       }
-      if (fwd.size() + bwd.size() > options_.repair_window) {
+      if (fwd.size() + bwd.size() > kRepairWindow) {
         overflow = true;
         break;
       }

@@ -26,7 +26,7 @@
 // dirty sets, re-classifying every updated legality entry, re-deriving the
 // structural dependency-edge changes from the raw routes, and validating
 // the full topological order — without ever trusting the builder's caches.
-// The MapCatalog publish gate rejects any delta the checker refuses.
+// A caller escalates (reset) on any delta the checker refuses.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,9 @@ enum class EscalationReason : std::uint8_t {
   kManualReset,     ///< caller asked for a full re-prime (reset())
   kRootChanged,     ///< table root differs from baseline or is not a live
                     ///< switch (full path owns the SL106 diagnostic)
-  kDiffTooLarge,    ///< dirty closure past the escalation threshold
+  kDiffTooLarge,    ///< dirty closure past the escalation threshold, or
+                    ///< ids renumbered (a node or wire id names another
+                    ///< device than in the baseline)
   kStructureFinding,///< a route in the dirty closure is structurally broken
   kCycle,           ///< dependency-edge insert closed a cycle
   kCheckerRejected, ///< a DeltaChecker refused the previous delta
@@ -125,21 +127,9 @@ struct IncrementalStats {
 
 struct AnalysisStateOptions {
   AnalyzerOptions analyzer;
-  /// Escalate when dirty wires+nodes exceed this fraction of the live
-  /// fabric (but never below min_dirty entities — small fabrics always
-  /// qualify for the fast path).
-  double dirty_fraction = 0.125;
-  std::size_t min_dirty = 64;
-  /// Escalate when changed+removed routes exceed this fraction of the
-  /// table (snapshot compaction shifts every id past a removal; a diff
-  /// that large is cheaper to re-analyze than to localize).
-  double route_fraction = 0.5;
-  /// Pearce-Kelly affected-region cap; past it the order is rebuilt.
-  std::size_t repair_window = 256;
 };
 
-/// The incremental analysis engine. Not thread-safe; the MapCatalog holds
-/// one under its writer mutex.
+/// The incremental analysis engine. Not thread-safe.
 class AnalysisState {
  public:
   struct Result {
@@ -150,8 +140,8 @@ class AnalysisState {
   explicit AnalysisState(AnalysisStateOptions options = {});
 
   /// Full analysis + baseline (re)prime. Always escalates. The reason is
-  /// recorded in the delta (gates pass kCheckerRejected when a DeltaChecker
-  /// refused the previous step).
+  /// recorded in the delta (callers pass kCheckerRejected when a
+  /// DeltaChecker refused the previous step).
   Result reset(const topo::Topology& map, const routing::RoutingResult& routes,
                EscalationReason reason = EscalationReason::kManualReset);
 
@@ -174,8 +164,10 @@ class AnalysisState {
   };
   struct WireFp {
     bool alive = false;
-    /// Endpoints, recorded the first time the wire is seen alive (wire ids
-    /// are append-only and endpoints immutable, so this never goes stale).
+    /// Endpoints, recorded whenever the wire turns alive. Within one
+    /// Topology wire ids are append-only and endpoints immutable; across
+    /// two compacted maps an id can be rewired, which reanalyze() detects
+    /// by comparing these and escalates.
     topo::NodeId a = topo::kInvalidNode;
     topo::NodeId b = topo::kInvalidNode;
   };

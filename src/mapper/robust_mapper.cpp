@@ -12,6 +12,27 @@ namespace sanmap::mapper {
 
 namespace {
 
+/// Total probes the whole session (passes + sweeps + final check) may
+/// spend. Exhausting it ends the session wherever it stands.
+constexpr std::uint64_t kProbeBudget = 50000;
+/// Full mapping passes before giving up, and stability sweep rounds per
+/// pass before forcing a new pass.
+constexpr int kMaxPasses = 5;
+constexpr int kMaxSweepRounds = 8;
+/// Cap of the engine retry level the session escalates to.
+constexpr int kMaxRetries = 5;
+/// Virtual pause before each additional mapping pass, doubling each time
+/// (transient congestion and routing storms pass; probing into them wastes
+/// budget).
+constexpr common::SimTime kInitialBackoff = common::SimTime::ms(2);
+constexpr double kBackoffMultiplier = 2.0;
+/// Extra confirmation probes after a surprising negative.
+constexpr int kConfirmProbes = 2;
+/// Fraction of ports re-checked by the final sampled consistency sweep,
+/// and the seed of its sampling draw.
+constexpr double kVerifyFraction = 0.25;
+constexpr std::uint64_t kSampleSeed = 0x5eed;
+
 /// Session-stable identity of one switch output port: the probe prefix
 /// that reaches the switch plus the turn that selects the port. Stable as
 /// long as the route to the switch is — after an upstream excision the key
@@ -36,21 +57,13 @@ RobustMapper::RobustMapper(probe::ProbeEngine& engine, RobustConfig config)
     : engine_(&engine),
       config_(config),
       mapper_name_(engine.network().topology().name(engine.mapper_host())) {
-  SANMAP_CHECK(config_.max_passes >= 1);
-  SANMAP_CHECK(config_.max_sweep_rounds >= 1);
-  SANMAP_CHECK(config_.confirm_probes >= 1);
   SANMAP_CHECK(config_.quarantine_threshold >= 2);
   SANMAP_CHECK(config_.initial_retries >= 0 &&
-               config_.max_retries >= config_.initial_retries);
-  SANMAP_CHECK(config_.backoff_multiplier >= 1.0);
-  SANMAP_CHECK_MSG(
-      config_.verify_fraction >= 0.0 && config_.verify_fraction <= 1.0,
-      "RobustConfig::verify_fraction must be 0 (off) or in (0, 1]");
+               config_.initial_retries <= kMaxRetries);
 }
 
 bool RobustMapper::budget_exhausted() const {
-  return probes_accumulated_ + engine_->counters().total() >=
-         config_.probe_budget;
+  return probes_accumulated_ + engine_->counters().total() >= kProbeBudget;
 }
 
 bool RobustMapper::register_transition(const std::string& key,
@@ -151,19 +164,6 @@ RobustMapper::SweepOutcome RobustMapper::sweep_round(topo::Topology& work,
   // condemned behind the dead wire.
   for (;;) {
     const auto outcome = [&]() -> std::optional<SweepOutcome> {
-      round_confidence_.clear();
-      for (const topo::WireId w : work.wires()) {
-        round_confidence_.push_back(EdgeConfidence{w, 1.0});
-      }
-      const auto lower_confidence = [&](topo::WireId w, double c) {
-        for (EdgeConfidence& e : round_confidence_) {
-          if (e.wire == w) {
-            e.confidence = c;
-            return;
-          }
-        }
-      };
-
       // The mapper's own wire is every route's first hop, yet a round over
       // a map with no other hosts and no occupied far ports consists only
       // of expects-nothing checks — a dead first switch answers nothing
@@ -184,28 +184,21 @@ RobustMapper::SweepOutcome RobustMapper::sweep_round(topo::Topology& work,
           return r.kind == probe::ResponseKind::kHost &&
                  r.host_name == work.name(root_peer->node);
         };
-        int hits = answers() ? 1 : 0;
-        int attempts = 1;
-        if (hits == 0) {
-          for (int i = 0; i < config_.confirm_probes && !budget_exhausted();
-               ++i) {
-            ++attempts;
+        bool answered = answers();
+        if (!answered) {
+          for (int i = 0; i < kConfirmProbes && !budget_exhausted(); ++i) {
             if (answers()) {
-              ++hits;
+              answered = true;
+              ++round_mixed_bursts_;
               break;
             }
           }
         }
-        if (hits == 0) {
+        if (!answered) {
           register_transition(root_key, result);
           excise_wire(work, *work.wire_at(*mapper, 0), result);
           excised_any = true;
           return std::nullopt;
-        }
-        if (attempts > 1) {
-          ++round_mixed_bursts_;
-          lower_confidence(*work.wire_at(*mapper, 0),
-                           static_cast<double>(hits) / attempts);
         }
         alive_checked.push_back(root_key);
       }
@@ -258,8 +251,8 @@ RobustMapper::SweepOutcome RobustMapper::sweep_round(topo::Topology& work,
               // probes flip it. For a known-occupied port silence is the
               // surprise to confirm; for a confirmed-empty (excised) port
               // a missed bounce would cost its second-chance remap.
-              for (int i = 0;
-                   i < config_.confirm_probes && !budget_exhausted(); ++i) {
+              for (int i = 0; i < kConfirmProbes && !budget_exhausted();
+                   ++i) {
                 r = engine_->probe(probe);
                 if (r.kind != probe::ResponseKind::kNothing) {
                   break;
@@ -312,10 +305,7 @@ RobustMapper::SweepOutcome RobustMapper::sweep_round(topo::Topology& work,
             }
             // Surprising negative: confirm before condemning the wire.
             int hits = 0;
-            int attempts = 1;
-            for (int i = 0;
-                 i < config_.confirm_probes && !budget_exhausted(); ++i) {
-              ++attempts;
+            for (int i = 0; i < kConfirmProbes && !budget_exhausted(); ++i) {
               const auto again = engine_->host_probe(probe);
               if (again && *again == expected) {
                 ++hits;
@@ -328,8 +318,6 @@ RobustMapper::SweepOutcome RobustMapper::sweep_round(topo::Topology& work,
               return std::nullopt;
             }
             ++round_mixed_bursts_;
-            lower_confidence(*work.wire_at(s, p),
-                             static_cast<double>(hits) / attempts);
             alive_checked.push_back(key);
             continue;
           }
@@ -348,10 +336,7 @@ RobustMapper::SweepOutcome RobustMapper::sweep_round(topo::Topology& work,
             continue;
           }
           int hits = 0;
-          int attempts = 1;
-          for (int i = 0; i < config_.confirm_probes && !budget_exhausted();
-               ++i) {
-            ++attempts;
+          for (int i = 0; i < kConfirmProbes && !budget_exhausted(); ++i) {
             if (engine_->echo_probe(echo)) {
               ++hits;
             }
@@ -363,8 +348,6 @@ RobustMapper::SweepOutcome RobustMapper::sweep_round(topo::Topology& work,
             return std::nullopt;
           }
           ++round_mixed_bursts_;
-          lower_confidence(*work.wire_at(s, p),
-                           static_cast<double>(hits) / attempts);
           alive_checked.push_back(key);
         }
       }
@@ -381,11 +364,10 @@ RobustResult RobustMapper::run() {
   quarantined_.clear();
   suspicion_.clear();
   free_states_.clear();
-  round_confidence_.clear();
   probes_accumulated_ = 0;
   now_ = engine_->now();
   engine_->set_retries(config_.initial_retries);
-  common::SimTime backoff = config_.initial_backoff;
+  common::SimTime backoff = kInitialBackoff;
 
   const auto end_phase = [&] {
     probes_accumulated_ += engine_->counters().total();
@@ -394,22 +376,22 @@ RobustResult RobustMapper::run() {
   };
   const auto escalate_retries = [&] {
     engine_->set_retries(
-        std::min(config_.max_retries, engine_->retries() + 1));
+        std::min(kMaxRetries, engine_->retries() + 1));
   };
 
   bool converged = false;
   topo::Topology work;
-  for (int pass = 0; pass < config_.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     if (pass > 0) {
       // Back off before re-probing: transient congestion passes on its
       // own, and a higher retry level conditions the next pass against
       // whatever loss rate defeated this one.
       now_ += backoff;
       backoff = common::SimTime::from_us(backoff.to_us() *
-                                         config_.backoff_multiplier);
+                                         kBackoffMultiplier);
       escalate_retries();
     }
-    if (probes_accumulated_ >= config_.probe_budget) {
+    if (probes_accumulated_ >= kProbeBudget) {
       break;
     }
     ++result.passes;
@@ -437,8 +419,7 @@ RobustResult RobustMapper::run() {
             !prev_reach[h].reachable) {
           continue;
         }
-        for (int i = 0; i <= config_.confirm_probes && !budget_exhausted();
-             ++i) {
+        for (int i = 0; i <= kConfirmProbes && !budget_exhausted(); ++i) {
           const auto answer = engine_->host_probe(prev_reach[h].prefix);
           if (answer && *answer == name) {
             incomplete = true;
@@ -464,7 +445,7 @@ RobustResult RobustMapper::run() {
     result.cut_off.clear();
 
     bool remap = false;
-    for (int round = 0; round < config_.max_sweep_rounds; ++round) {
+    for (int round = 0; round < kMaxSweepRounds; ++round) {
       engine_->set_clock_base(now_);
       engine_->reset();
       ++result.sweep_rounds;
@@ -496,20 +477,18 @@ RobustResult RobustMapper::run() {
   result.map = std::move(work);
   result.converged = converged;
   result.quarantined_ports = quarantined_;
-  result.confidence = round_confidence_;
   result.partial = !converged || !result.cut_off.empty() ||
                    !result.quarantined_ports.empty();
 
   // Final sampled consistency sweep: an independent spot check of the
   // converged map, reusing the incremental verifier's per-port probes.
-  if (converged && config_.verify_fraction > 0.0 &&
-      probes_accumulated_ < config_.probe_budget) {
+  if (converged && probes_accumulated_ < kProbeBudget) {
     engine_->set_clock_base(now_);
     IncrementalConfig check_config;
     check_config.base = config_.base;
     check_config.repair = false;
-    check_config.verify_fraction = config_.verify_fraction;
-    check_config.sample_seed = config_.sample_seed;
+    check_config.verify_fraction = kVerifyFraction;
+    check_config.sample_seed = kSampleSeed;
     IncrementalMapper checker(*engine_, result.map, check_config);
     const IncrementalResult check = checker.run();
     result.consistency_checks = check.verification_probes;

@@ -10,15 +10,16 @@
 // wraps the one-shot algorithm in an adaptive session that converges to
 // the map of the *surviving* network:
 //
-//  * mapping passes with escalating probe retries and exponential backoff
-//    between passes, all under one probe budget;
+//  * up to 5 mapping passes with escalating probe retries and exponential
+//    backoff between passes (2 ms, doubling), all under one budget of
+//    50,000 probes;
 //  * stability sweeps over the candidate map (the verification probes of
 //    incremental.hpp, one per port). A *surprising negative* — a recorded
 //    wire that fails its probe — is never trusted alone: it is re-probed
-//    `confirm_probes` more times, because cross-traffic destroys probes
+//    twice more, because cross-traffic destroys probes
 //    but never forges answers. An all-fail burst confirms the wire dead;
-//    a mixed burst means ambient loss (the wire stays, with reduced
-//    confidence, and the session raises the engine's retry level);
+//    a mixed burst means ambient loss (the wire stays, and three mixed
+//    bursts in one round raise the engine's retry level);
 //  * a confirmed-dead wire is excised on the spot; reach is recomputed
 //    before the sweep continues so downstream wires are re-verified via
 //    surviving routes instead of being falsely condemned in cascade.
@@ -37,13 +38,12 @@
 //    flipping is a flapping link: after `quarantine_threshold` transitions
 //    it is quarantined — excised from the map and never probed again —
 //    so an unstable link cannot keep the session from converging;
-//  * once a sweep round finds nothing to fix, the session optionally
-//    fires a final sampled consistency sweep (IncrementalMapper with
-//    verify_fraction < 1, repair off) as an independent spot check.
+//  * once a sweep round finds nothing to fix, the session fires a final
+//    sampled consistency sweep (IncrementalMapper over a quarter of the
+//    ports, repair off) as an independent spot check.
 //
 // The result reports the degraded-mode facts a consumer needs: whether
-// the session converged, the quarantined ports, the cut-off region, and
-// a per-wire confidence for the final map.
+// the session converged, the quarantined ports and the cut-off region.
 #pragma once
 
 #include <string>
@@ -59,29 +59,9 @@ namespace sanmap::mapper {
 struct RobustConfig {
   MapperConfig base;
 
-  /// Total probes the whole session (passes + sweeps + final check) may
-  /// spend. Exhausting it ends the session wherever it stands.
-  std::uint64_t probe_budget = 50000;
-
-  /// Full mapping passes before giving up (>= 1).
-  int max_passes = 5;
-  /// Stability sweep rounds per pass before forcing a new pass.
-  int max_sweep_rounds = 8;
-
   /// Engine retry level for the first pass; escalated by one per
-  /// additional pass (and on ambient-loss detection) up to max_retries.
+  /// additional pass (and on ambient-loss detection) up to a fixed cap.
   int initial_retries = 2;
-  int max_retries = 5;
-
-  /// Wall-clock pause before each additional mapping pass, doubling each
-  /// time (transient congestion and routing storms pass; probing into
-  /// them wastes budget).
-  common::SimTime initial_backoff = common::SimTime::ms(2);
-  double backoff_multiplier = 2.0;
-
-  /// Extra confirmation probes after a surprising negative (>= 1; the
-  /// ISSUE's double-probe discipline is confirm_probes = 1).
-  int confirm_probes = 2;
 
   /// Confirmed alive<->dead transitions on one port before it is
   /// quarantined as flapping (>= 2). Below the threshold, a port that
@@ -90,18 +70,6 @@ struct RobustConfig {
   /// remap is the falsely excised wire's second chance. The default of 3
   /// spends that second chance once before condemning the port.
   int quarantine_threshold = 3;
-
-  /// Fraction of ports re-checked by the final sampled consistency sweep
-  /// (0 disables it; otherwise in (0, 1]).
-  double verify_fraction = 0.25;
-  std::uint64_t sample_seed = 0x5eed;
-};
-
-/// Confidence in one wire of the final map: 1.0 when every probe of it
-/// answered, hits/attempts after a mixed confirmation burst.
-struct EdgeConfidence {
-  topo::WireId wire = 0;
-  double confidence = 1.0;
 };
 
 struct RobustResult {
@@ -122,14 +90,12 @@ struct RobustResult {
   /// Names of nodes cut off from the mapper by confirmed-dead wires (the
   /// observable part of the failure region F).
   std::vector<std::string> cut_off;
-  /// Per-wire confidence for `map` (every live wire appears once).
-  std::vector<EdgeConfidence> confidence;
 
   int passes = 0;
   int sweep_rounds = 0;
   std::uint64_t probes_used = 0;
   /// Final sampled consistency sweep: probes spent and contradictions
-  /// found (0 checks when disabled or the budget ran out first).
+  /// found (0 checks when the budget ran out first).
   std::uint64_t consistency_checks = 0;
   std::uint64_t consistency_failures = 0;
 
@@ -187,8 +153,6 @@ class RobustMapper {
   std::vector<std::pair<std::string, int>> suspicion_;
   std::vector<std::pair<std::string, int>> free_states_;
 
-  /// Per-wire confidence of the most recent sweep round.
-  std::vector<EdgeConfidence> round_confidence_;
   /// Mixed confirmation bursts seen in the most recent sweep round
   /// (ambient-loss signal driving retry escalation).
   int round_mixed_bursts_ = 0;

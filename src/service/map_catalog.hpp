@@ -7,18 +7,21 @@
 // A reader that loaded epoch N keeps its snapshot alive by reference count
 // even after epoch N+1 lands; grace periods are implicit in shared_ptr.
 //
-// Publishing is gated twice:
-//  * safety — every candidate snapshot is re-analyzed by the full static
-//    analyzer (src/analysis): UP*/DOWN* legality per route, explicit
-//    channel-dependency deadlock certificate, model well-formedness and
-//    route-table structure lints. Any ERROR-level diagnostic (or a build
-//    verdict that already said unsafe) refuses the publish outright; an
-//    unsafe route table must never become current (Dally & Seitz; the
-//    paper's §5.5 guarantee). The refusing diagnostics travel back in the
-//    PublishResult;
+// Publishing is gated twice, on one path for every candidate:
+//  * safety — every candidate snapshot is re-analyzed from scratch by
+//    analysis::analyze (src/analysis): UP*/DOWN* legality per route, the
+//    explicit channel-dependency deadlock certificate (each certificate
+//    re-checked by its independent checker; a failed recheck is SL202),
+//    model well-formedness and route-table structure lints. Any ERROR-level
+//    diagnostic (or a build verdict that already said unsafe) refuses the
+//    publish outright; an unsafe route table must never become current
+//    (Dally & Seitz; the paper's §5.5 guarantee). The refusing diagnostics
+//    travel back in the PublishResult;
 //  * staleness — publish_if_current(snapshot, based_on_epoch) refuses when
 //    the catalog moved past `based_on_epoch`, so a slow remap that raced a
-//    faster one cannot clobber fresher routes with older ones.
+//    faster one cannot clobber fresher routes with older ones; and the
+//    SL501/SL502 lints refuse a candidate built before the current
+//    quarantine or republished from too far back in the history.
 //
 // A bounded history of recent epochs is kept for diagnostics and for
 // readers that need to compare across a swap.
@@ -43,8 +46,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analyzer.hpp"
 #include "analysis/diagnostics.hpp"
-#include "analysis/incremental.hpp"
 #include "common/sim_time.hpp"
 #include "common/thread_annotations.hpp"
 #include "service/snapshot.hpp"
@@ -56,29 +59,6 @@ class MapCatalog {
   /// Keeps the most recent `history_limit` published snapshots reachable
   /// via at_epoch() (current is always reachable regardless).
   explicit MapCatalog(std::size_t history_limit = 8);
-
-  /// How the safety gate derives its verdict for each candidate snapshot.
-  enum class GateMode : std::uint8_t {
-    /// From-scratch analysis of every candidate (the default, and the
-    /// escalation path of the other two modes).
-    kFull,
-    /// Incremental: an AnalysisState diffs each candidate against the
-    /// previously published one and re-analyzes only the dirty closure; an
-    /// independent DeltaChecker re-proves every CertificateDelta without
-    /// trusting the analysis state. A refused delta escalates to a full
-    /// re-prime (and counts in GateStats::checker_rejections) — the
-    /// incremental path can only ever cost accuracy zero, never safety.
-    kIncremental,
-    /// Paranoid: the incremental verdict AND a from-scratch analysis on
-    /// every candidate, cross-checked; a divergence is counted, logged,
-    /// and resolved in favor of the from-scratch verdict.
-    kParanoid,
-  };
-
-  /// Selects the gate mode. Safe to call at any time; takes effect for the
-  /// next publish. The incremental state is reset when leaving kFull.
-  void set_gate_mode(GateMode mode) SANMAP_EXCLUDES(writer_mutex_);
-  [[nodiscard]] GateMode gate_mode() const SANMAP_EXCLUDES(writer_mutex_);
 
   enum class PublishStatus : std::uint8_t {
     kPublished,
@@ -189,16 +169,14 @@ class MapCatalog {
                  rejected_stale_.load(std::memory_order_relaxed)};
   }
 
-  /// How the incremental gate has been doing (all zero under kFull).
+  /// Publish-gate counters. Only rejected_stale_lints is live: the other
+  /// four counted the retired incremental gate's fast path, escalations,
+  /// checker refusals and paranoid divergences. They stay, always 0, for
+  /// readers that still report them.
   struct GateStats {
-    /// Candidates whose verdict came off the dirty-region fast path.
     std::uint64_t incremental_fast = 0;
-    /// Candidates the AnalysisState escalated to a full re-analysis.
     std::uint64_t incremental_escalated = 0;
-    /// Deltas the independent checker refused (each forces a reset +
-    /// re-proved full analysis; a rejection is not a publish failure).
     std::uint64_t checker_rejections = 0;
-    /// kParanoid only: incremental and from-scratch verdicts disagreed.
     std::uint64_t paranoid_divergences = 0;
     /// Candidates refused by the SL501/SL502 staleness lints.
     std::uint64_t rejected_stale_lints = 0;
@@ -227,19 +205,12 @@ class MapCatalog {
   mutable common::Mutex health_mutex_;
   HealthPtr health_ SANMAP_GUARDED_BY(health_mutex_);
 
-  /// Serializes publishers and guards history_ / next_epoch_ and the
-  /// incremental gate state below.
+  /// Serializes publishers and guards history_ / next_epoch_ and the gate
+  /// counters.
   mutable common::Mutex writer_mutex_;
   std::deque<SnapshotPtr> history_ SANMAP_GUARDED_BY(writer_mutex_);
   std::size_t history_limit_ SANMAP_GUARDED_BY(writer_mutex_);
   std::uint64_t next_epoch_ SANMAP_GUARDED_BY(writer_mutex_) = 1;
-
-  GateMode gate_mode_ SANMAP_GUARDED_BY(writer_mutex_) = GateMode::kFull;
-  /// Incremental gate (kIncremental / kParanoid): the builder side diffs
-  /// candidates against the last published snapshot; the checker side
-  /// re-proves its deltas independently. Both live under writer_mutex_.
-  analysis::AnalysisState gate_state_ SANMAP_GUARDED_BY(writer_mutex_);
-  analysis::DeltaChecker gate_checker_ SANMAP_GUARDED_BY(writer_mutex_);
   GateStats gate_stats_ SANMAP_GUARDED_BY(writer_mutex_);
 
   std::atomic<std::uint64_t> published_{0};
@@ -249,15 +220,5 @@ class MapCatalog {
 
 const char* to_string(MapCatalog::PublishStatus status);
 const char* to_string(MapCatalog::HealthState state);
-
-/// The kParanoid cross-check predicate: the incremental verdict must match
-/// the from-scratch one in every observable — diagnostics (byte-for-byte),
-/// the legality verdict INCLUDING the certified per-route entries (src, dst,
-/// legality, apex, offending hop) and the certifying root, and the deadlock
-/// verdict. Historically this compared only the aggregate flags, so an
-/// incremental pass that certified a different route set with the same
-/// summary slipped through undetected. Exposed for the regression test.
-bool equivalent_verdicts(const analysis::AnalysisResult& a,
-                         const analysis::AnalysisResult& b);
 
 }  // namespace sanmap::service

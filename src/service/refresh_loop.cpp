@@ -25,6 +25,15 @@ topo::NodeId resolve_master(const topo::Topology& topo,
   return *host;
 }
 
+/// BFS expansion (in switch hops over the previous map) around the dirty
+/// seed switches.
+constexpr int kDirtyRadius = 1;
+
+/// Remap storm damper: the pause before the next remap after each
+/// consecutive breakage tick, doubling per consecutive remap up to the cap.
+constexpr common::SimTime kInitialBackoff = common::SimTime::ms(100);
+constexpr common::SimTime kMaxBackoff = common::SimTime::seconds(2);
+
 /// Config errors surface here, at construction, instead of as a confusing
 /// crash (or a silently frozen clock) on the first tick.
 void validate(const RefreshConfig& config) {
@@ -33,13 +42,6 @@ void validate(const RefreshConfig& config) {
   SANMAP_CHECK_MSG(config.check_interval > common::SimTime{},
                    "RefreshConfig::check_interval must be positive; got "
                        << config.check_interval.str());
-  SANMAP_CHECK_MSG(config.dirty_radius >= 0,
-                   "RefreshConfig::dirty_radius must be non-negative; got "
-                       << config.dirty_radius);
-  SANMAP_CHECK_MSG(config.initial_backoff >= common::SimTime{},
-                   "RefreshConfig::initial_backoff must be non-negative");
-  SANMAP_CHECK_MSG(config.budget_horizon > common::SimTime{},
-                   "RefreshConfig::budget_horizon must be positive");
 }
 
 TickPublish to_tick_publish(MapCatalog::PublishStatus status) {
@@ -89,17 +91,9 @@ RefreshLoop::RefreshLoop(simnet::Network& net, MapCatalog& catalog,
       config_((validate(config), std::move(config))),
       master_(resolve_master(net.topology(), config_.master_name)),
       engine_(net, master_) {
-  if (config_.robust.base.search_depth <= 0) {
-    config_.robust.base.search_depth =
-        topo::search_depth(net.topology(), master_) + 2;
-  }
-  // The loop is the catalog's writer; it owns the gate-mode decision. The
-  // incremental gate mirrors the remap pipeline's localize→splice→validate
-  // shape on the analysis side; --paranoid cross-checks it with a
-  // from-scratch analysis per candidate.
-  catalog_->set_gate_mode(config_.paranoid
-                              ? MapCatalog::GateMode::kParanoid
-                              : MapCatalog::GateMode::kIncremental);
+  // The live fabric's ground-truth depth + 2: the slack for fabrics that
+  // degrade mid-pass.
+  robust_.base.search_depth = topo::search_depth(net.topology(), master_) + 2;
 }
 
 TickReport RefreshLoop::bootstrap() {
@@ -163,43 +157,27 @@ TickReport RefreshLoop::tick_locked() {
       localize_dirty(*snapshot, health.broken);
   report.dirty_switches = dirty.size();
   // Quarantine the dirty region right away: readers stop getting routes
-  // through it even before the remap lands (or when the dampers below skip
+  // through it even before the remap lands (or when the damper below skips
   // the remap entirely).
   set_health(MapCatalog::HealthState::kStaleServing, snapshot.get(), dirty);
 
-  // Storm dampers: skip the remap while backing off or out of probe budget
-  // for this horizon — but keep the downgraded health visible.
-  if (config_.initial_backoff > common::SimTime{} && now_ < backoff_until_) {
+  // Storm damper: skip the remap while backing off — but keep the
+  // downgraded health visible.
+  if (now_ < backoff_until_) {
     report.backoff_active = true;
     report.health = catalog_->health()->state;
     report.epoch_after = catalog_->epoch();
     report.at = now_;
     return report;
   }
-  if (config_.horizon_probe_budget > 0) {
-    if (now_ >= budget_window_start_ + config_.budget_horizon) {
-      budget_window_start_ = now_;
-      budget_window_probes_ = 0;
-    }
-    if (budget_window_probes_ >= config_.horizon_probe_budget) {
-      report.budget_exhausted = true;
-      report.health = catalog_->health()->state;
-      report.epoch_after = catalog_->epoch();
-      report.at = now_;
-      return report;
-    }
-  }
 
   ++consecutive_remaps_;
   remap_and_publish(snapshot->epoch, snapshot, dirty, report);
-  budget_window_probes_ += report.probes_used;
-  if (config_.initial_backoff > common::SimTime{}) {
-    // Double the pause per consecutive breakage tick, capped.
-    const int shift = std::min(consecutive_remaps_ - 1, 20);
-    common::SimTime delay = config_.initial_backoff * (std::int64_t{1} << shift);
-    delay = std::min(delay, config_.max_backoff);
-    backoff_until_ = now_ + delay;
-  }
+  // Double the pause per consecutive breakage tick, capped.
+  const int shift = std::min(consecutive_remaps_ - 1, 20);
+  const common::SimTime delay =
+      std::min(kInitialBackoff * (std::int64_t{1} << shift), kMaxBackoff);
+  backoff_until_ = now_ + delay;
 
   report.health = catalog_->health()->state;
   report.epoch_after = catalog_->epoch();
@@ -281,7 +259,7 @@ std::vector<topo::NodeId> RefreshLoop::localize_dirty(
   while (!frontier.empty()) {
     const auto [n, depth] = frontier.front();
     frontier.pop_front();
-    if (depth >= config_.dirty_radius) {
+    if (depth >= kDirtyRadius) {
       continue;
     }
     for (const topo::PortRef& ref : snapshot.map.neighbors(n)) {
@@ -314,7 +292,7 @@ topo::Topology RefreshLoop::full_remap(TickReport& report) {
   engine_.set_clock_base(now_);
   engine_.reset();
   mapper::RobustResult session =
-      mapper::RobustMapper(engine_, config_.robust).run();
+      mapper::RobustMapper(engine_, robust_).run();
   now_ = session.elapsed;
   report.probes_used += session.probes_used;
   return std::move(session.map);
@@ -369,17 +347,13 @@ bool RefreshLoop::try_publish(const topo::Topology& map,
     }
   }
 
-  if (config_.distribute) {
-    const routing::DistributionResult distribution = routing::distribute_tables(
-        *net_, snapshot.routes, snapshot.map, config_.master_name, now_);
-    now_ += distribution.elapsed;
-    report.distribution_complete = distribution.complete;
-    // An incomplete distribution is not a reason to withhold the snapshot:
-    // the routes are verified safe, and the next tick's health check will
-    // catch whatever the missed interfaces imply and remap again.
-  } else {
-    report.distribution_complete = true;
-  }
+  const routing::DistributionResult distribution = routing::distribute_tables(
+      *net_, snapshot.routes, snapshot.map, config_.master_name, now_);
+  now_ += distribution.elapsed;
+  report.distribution_complete = distribution.complete;
+  // An incomplete distribution is not a reason to withhold the snapshot: the
+  // routes are verified safe, and the next tick's health check will catch
+  // whatever the missed interfaces imply and remap again.
 
   const MapCatalog::PublishResult outcome =
       catalog_->publish_if_current(std::move(snapshot), based_on_epoch);
@@ -401,7 +375,7 @@ void RefreshLoop::remap_and_publish(std::uint64_t based_on_epoch,
     engine_.reset();
     try {
       mapper::IncrementalConfig inc;
-      inc.base = config_.robust.base;
+      inc.base = robust_.base;
       inc.repair = true;
       inc.region = dirty;
       const mapper::IncrementalResult result =

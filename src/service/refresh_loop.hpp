@@ -7,7 +7,7 @@
 // observation. When routes broke, the loop escalates through three rungs:
 //
 //  1. incremental — localize the dirty region (a greedy hitting set of the
-//     broken routes' path switches, expanded by a configurable radius),
+//     broken routes' path switches, expanded by one switch hop),
 //     re-probe only that region with IncrementalMapper (the rest of the
 //     previous epoch's map is trusted wholesale and spliced around it),
 //     validate the candidate routes against the live fabric, and publish;
@@ -18,24 +18,26 @@
 //     snapshot, keep serving the last safe snapshot with the dirty region
 //     quarantined (MapCatalog health kDegraded) and try again next tick.
 //
-// Every published snapshot — incremental or full — passes the same
-// channel-dependency deadlock gate and lands via publish_if_current, so a
-// concurrent publisher's fresher routes are never clobbered and an unsafe
-// table is never served, no matter which rung produced it.
+// Every published snapshot — incremental or full — is distributed in-band,
+// passes the catalog's one publish gate (a from-scratch analysis with both
+// certificates rechecked) and lands via publish_if_current, so a concurrent
+// publisher's fresher routes are never clobbered and an unsafe table is
+// never served, no matter which rung produced it. The loop is the service's
+// only self-healing path: check, remap, redistribute, publish.
 //
-// Two dampers keep a flapping link from turning into a remap storm: an
-// exponential backoff (consecutive breakage ticks double the pause before
-// the next remap attempt, up to a cap) and a per-horizon probe budget
-// (remaps stop, and serving degrades, when a sliding window's probe spend
-// is exhausted). While damped, the loop still downgrades catalog health so
-// readers see the staleness.
+// Every remap session maps at the live fabric's ground-truth search depth
+// + 2 (the slack for fabrics that degrade mid-pass). An exponential backoff
+// keeps a flapping link from turning into a remap storm: consecutive
+// breakage ticks double the pause before the next remap attempt (100 ms,
+// capped at 2 s). While backing off, the loop still downgrades catalog
+// health so readers see the staleness.
 //
 // Threading: one RefreshLoop instance is the catalog's single writer; any
 // number of RouteQueryEngine readers run concurrently against the catalog.
 // That split — exclusive probing, lock-free reading — is the whole
 // concurrency design of the service. The writer role is formalized by an
 // internal mutex: ticks serialize (an accidental concurrent tick() queues
-// instead of racing the clock and the storm dampers), and clang's
+// instead of racing the clock and the storm damper), and clang's
 // -Wthread-safety proves every access to the tick-side state happens on the
 // locked writer path. The intended usage is still one thread — Network and
 // ProbeEngine are shared with code outside the loop and are not themselves
@@ -70,42 +72,9 @@ struct RefreshConfig {
   std::uint64_t route_seed = 1;
   /// Run the RouteOptimizer skew/funnel pass on every candidate table.
   bool optimize = false;
-  /// Remap session knobs. A base.search_depth <= 0 is replaced with the
-  /// live fabric's ground-truth depth + 2 (the slack bench_faults uses for
-  /// fabrics that degrade mid-pass).
-  mapper::RobustConfig robust;
-  /// Distribute tables in-band before publishing (off for pure-simulation
-  /// uses that only care about the catalog).
-  bool distribute = true;
-
-  // -- incremental remap ----------------------------------------------------
   /// Try a dirty-region incremental remap before falling back to a full
   /// RobustMapper session.
   bool incremental = true;
-  /// BFS expansion (in switch hops over the previous map) around the dirty
-  /// seed switches. 0 sweeps only the seeds themselves.
-  int dirty_radius = 1;
-
-  // -- publish gate ----------------------------------------------------------
-  /// The loop configures its catalog's safety gate at construction:
-  /// incremental by default (dirty-region re-analysis with independently
-  /// re-proved certificate deltas; full analysis stays as the escalation
-  /// path), or paranoid (`sanmap serve --paranoid`): the incremental
-  /// verdict AND a from-scratch analysis on every candidate, cross-checked.
-  bool paranoid = false;
-
-  // -- remap storm damping --------------------------------------------------
-  /// Pause before the next remap after each consecutive breakage tick,
-  /// doubling per consecutive remap up to max_backoff. Zero disables
-  /// backoff entirely.
-  common::SimTime initial_backoff = common::SimTime::ms(100);
-  common::SimTime max_backoff = common::SimTime::seconds(2);
-  /// Probes remap sessions may spend per budget_horizon of virtual time
-  /// (a sliding window anchored at the first remap of the window). 0 means
-  /// unlimited. When exhausted, breakage ticks downgrade health instead of
-  /// probing until the window rolls over.
-  std::uint64_t horizon_probe_budget = 0;
-  common::SimTime budget_horizon = common::SimTime::seconds(1);
 };
 
 /// Outcome of a tick's publish attempt. Unlike MapCatalog::PublishStatus
@@ -138,21 +107,18 @@ struct TickReport {
   RemapKind remap = RemapKind::kNone;
   /// The incremental rung was tried and fell through to the full remap.
   bool escalated = false;
-  /// Dirty-region switches localized from the broken routes (seeds +
-  /// radius), 0 when the tick saw no breakage.
+  /// Dirty-region switches localized from the broken routes (seeds + one
+  /// hop), 0 when the tick saw no breakage.
   std::size_t dirty_switches = 0;
-  /// Breakage was seen but the remap was skipped by the backoff damper /
-  /// the exhausted per-horizon probe budget.
+  /// Breakage was seen but the remap was skipped by the backoff damper.
   bool backoff_active = false;
-  bool budget_exhausted = false;
   /// Probes all remap sessions of this tick spent (0 when !remapped).
   std::uint64_t probes_used = 0;
   /// Outcome of the publish attempt; kNotAttempted on observation-only,
   /// damped, and degraded ticks.
   TickPublish publish_status = TickPublish::kNotAttempted;
   /// Every table message of the redistribution was delivered (meaningful
-  /// only when a publish was attempted; trivially true when distribution
-  /// is disabled).
+  /// only when a publish was attempted).
   bool distribution_complete = false;
   /// Catalog health after the tick.
   MapCatalog::HealthState health = MapCatalog::HealthState::kFresh;
@@ -167,8 +133,8 @@ class RefreshLoop {
   /// `net` must outlive the loop; `catalog` is where snapshots land. The
   /// master host is resolved by name against net's topology. Throws
   /// common::CheckFailure on an invalid config (empty master_name,
-  /// non-positive check_interval, negative dirty_radius, non-positive
-  /// budget_horizon) — fail at construction, not on the first tick.
+  /// non-positive check_interval, a master not in the fabric) — fail at
+  /// construction, not on the first tick.
   RefreshLoop(simnet::Network& net, MapCatalog& catalog, RefreshConfig config);
 
   /// Maps the fabric from scratch and publishes the first snapshot (or a
@@ -197,8 +163,8 @@ class RefreshLoop {
   TickReport tick_locked() SANMAP_REQUIRES(mutex_);
 
   /// Dirty-region localization: greedy hitting set over the broken routes'
-  /// path switches, expanded by config_.dirty_radius BFS hops over the
-  /// snapshot's map. Returns snapshot-map switch ids.
+  /// path switches, expanded by one BFS hop over the snapshot's map.
+  /// Returns snapshot-map switch ids.
   [[nodiscard]] std::vector<topo::NodeId> localize_dirty(
       const MapSnapshot& snapshot,
       const std::vector<routing::BrokenRoute>& broken) const;
@@ -233,6 +199,8 @@ class RefreshLoop {
   MapCatalog* catalog_;
   RefreshConfig config_;
   topo::NodeId master_;
+  /// Remap session config: defaults, at the live fabric's depth + 2.
+  mapper::RobustConfig robust_;
 
   /// The writer-role lock: everything a tick mutates lives under it.
   mutable common::Mutex mutex_;
@@ -242,8 +210,6 @@ class RefreshLoop {
   // Storm-damper state.
   int consecutive_remaps_ SANMAP_GUARDED_BY(mutex_) = 0;
   common::SimTime backoff_until_ SANMAP_GUARDED_BY(mutex_){};
-  common::SimTime budget_window_start_ SANMAP_GUARDED_BY(mutex_){};
-  std::uint64_t budget_window_probes_ SANMAP_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace sanmap::service

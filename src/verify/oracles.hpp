@@ -137,7 +137,7 @@ struct OracleOptions {
   int regions = 3;
 
   /// incremental-equiv: BFS expansion around the event-touched switches
-  /// when deriving the dirty region (mirrors RefreshConfig::dirty_radius).
+  /// when deriving the dirty region (the refresh loop expands by one hop).
   int dirty_radius = 1;
 
   /// Plumbed into MapperConfig::sabotage_skip_merges: breaks the mapper on

@@ -503,6 +503,74 @@ TEST(AnalysisState, DependencyCycleEscalatesWithCounterexample) {
   EXPECT_FALSE(inc.analysis.deadlock.cycle.empty());
 }
 
+/// One of two maps over the same ids — six switches s0..s5, hosts h1..h3 on
+/// s1..s3 and a0..a3 / b0..b3 on s4 / s5 — that differ only in what wires
+/// 0..2 connect: a spine s0-s1-s2-s3, or a hub s3 joined to s0, s1 and s2.
+/// Every id is alive in both, so a liveness diff sees nothing change, yet
+/// s1..s3 sit at other distances from s0 — the shape two compacted
+/// snapshots take when a remap drops part of the fabric and finds it again.
+topo::Topology spine_or_hub(bool hub) {
+  topo::Topology t;
+  std::vector<topo::NodeId> s;
+  for (int i = 0; i < 6; ++i) {
+    s.push_back(t.add_switch());
+  }
+  if (hub) {
+    t.connect(s[0], 0, s[3], 0);
+    t.connect(s[3], 1, s[1], 0);
+    t.connect(s[3], 2, s[2], 0);
+  } else {
+    t.connect(s[0], 0, s[1], 0);
+    t.connect(s[1], 1, s[2], 0);
+    t.connect(s[2], 1, s[3], 0);
+  }
+  t.connect(s[0], 1, s[4], 0);
+  t.connect(s[0], 2, s[5], 0);
+  const auto add_host = [&t](const char* name, topo::NodeId sw,
+                             topo::Port port) {
+    t.connect(t.add_host(name), 0, sw, port);
+  };
+  add_host("h1", s[1], 4);
+  add_host("h2", s[2], 4);
+  add_host("h3", s[3], 4);
+  const char* const a_hosts[] = {"a0", "a1", "a2", "a3"};
+  const char* const b_hosts[] = {"b0", "b1", "b2", "b3"};
+  for (topo::Port p = 0; p < 4; ++p) {
+    add_host(a_hosts[p], s[4], p + 1);
+  }
+  for (topo::Port p = 0; p < 4; ++p) {
+    add_host(b_hosts[p], s[5], p + 1);
+  }
+  return t;
+}
+
+TEST(AnalysisState, RewiredIdsDoNotDriftTheLabels) {
+  // Regression: the diff compared only liveness per id, so the rewired
+  // wires never reached the root BFS. The fast path kept the spine's
+  // distances, relabeled nothing, and flagged the hub's legal h1->h2 route
+  // (s1 -> s3 -> s2) as a down-to-up turn: false SL101 findings that
+  // refused a safe table.
+  const topo::Topology spine = spine_or_hub(false);
+  const topo::Topology hub = spine_or_hub(true);
+  routing::UpDownOptions rooted;
+  rooted.root = spine.switches().front();
+  const auto spine_routes = routing::compute_updown_routes(spine, rooted, 1);
+  const auto hub_routes = routing::compute_updown_routes(hub, rooted, 1);
+
+  analysis::AnalysisState state;
+  state.reset(spine, spine_routes);
+  ASSERT_TRUE(state.primed());
+  const auto inc = state.reanalyze(hub, hub_routes);
+  const auto full = analysis::analyze(hub, hub_routes);
+  ASSERT_TRUE(full.clean());
+  expect_equivalent(hub, hub_routes, full, inc.analysis, "rewired ids");
+
+  // And the state it leaves behind serves the next step exactly.
+  const auto again = state.reanalyze(spine, spine_routes);
+  expect_equivalent(spine, spine_routes, analysis::analyze(spine, spine_routes),
+                    again.analysis, "rewired back");
+}
+
 // ------------------------------------------- adversarial delta matrix
 
 /// One fixture: a primed baseline, one honest incremental step, and a

@@ -1,10 +1,9 @@
 // UP*/DOWN* routing beyond the emitter itself: agreement of the static
 // acyclicity proofs on raw and optimized tables, the RouteOptimizer, and
 // the regressions that came with it — SL403 consuming the optimizer's
-// cable plan, self_heal_routes escalating on an unroutable partial remap,
-// the paranoid gate diffing the certified route set, and the snapshot
-// codec's v2 provenance words (optimizer flag round trip, engine word
-// refusal, v1 back-compat).
+// cable plan, the refresh loop surviving an unroutable partial remap, and
+// the snapshot codec's v2 provenance words (optimizer flag round trip,
+// engine word refusal, v1 back-compat).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,9 +19,9 @@
 #include "routing/congestion.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/optimizer.hpp"
-#include "routing/route_health.hpp"
 #include "routing/routes.hpp"
 #include "service/map_catalog.hpp"
+#include "service/refresh_loop.hpp"
 #include "service/snapshot.hpp"
 #include "service/snapshot_codec.hpp"
 #include "simnet/network.hpp"
@@ -246,86 +245,43 @@ TEST(Lints, Sl403ConsumesTheDeclaredCablePlan) {
   EXPECT_GT(count_sl403(analysis::analyze(t, diverged)), 0u);
 }
 
-// Regression: self_heal_routes assumed every remap produced a map the
-// router could accept. A partial remap of a quarantined region (here: the
+// Regression: the self-healing path once assumed every remap produced a map
+// the router could accept. A partial remap of a quarantined region (the
 // severed s3 leaf of the quarantined-region corpus case, with the core —
-// master included — missing) used to crash through the orientation's
-// connectivity SANMAP_CHECK; it must escalate to a full recompute instead.
-TEST(SelfHeal, EscalatesAnUnroutablePartialRemap) {
+// master included — missing) crashed through the orientation's
+// connectivity SANMAP_CHECK. The refresh loop is the one self-healing path
+// now: while the uplink is down it must keep ticking, and what it
+// publishes is the core without the severed leaf.
+TEST(RefreshLoop, RemapsAroundASeveredRegionWithoutCrashing) {
   const verify::ScenarioCase scenario = verify::read_case_file(
       std::string(SANMAP_CORPUS_DIR) + "/quarantined-region.sancase");
   const simnet::FaultSchedule schedule = scenario.schedule();
   simnet::Network net(scenario.network, scenario.collision);
-  net.attach_faults(&schedule);
 
-  // The severed region alone: s3 + its hosts. No master, not even the
-  // core — exactly what a region-scoped remap would hand back.
-  topo::Topology region = scenario.network;
-  for (const topo::NodeId n : scenario.network.nodes()) {
-    const std::string& name = scenario.network.name(n);
-    if (name != "s3" && name != "h3" && name != "h4") {
-      region.remove_node(n);
-    }
-  }
-  // The full recompute: the core without the quarantined region (the
-  // fabric as a fresh master session would map it mid-outage).
-  topo::Topology core = scenario.network;
-  for (const topo::NodeId n : scenario.network.nodes()) {
-    const std::string& name = scenario.network.name(n);
-    if (name == "s3" || name == "h3" || name == "h4") {
-      core.remove_node(n);
-    }
-  }
-
-  routing::SelfHealConfig config;
+  service::MapCatalog catalog;
+  service::RefreshConfig config;
   config.master_name = "h0";
-  int remaps = 0;
-  const auto remap = [&](common::SimTime& clock) {
-    clock += common::SimTime::ms(1);
-    ++remaps;
-    return remaps == 1 ? region : core;
-  };
-  // Start mid-outage (the uplink dies at 5ms, returns at 500ms).
-  const auto result =
-      routing::self_heal_routes(net, scenario.network, config, remap,
-                                common::SimTime::ms(10));
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.escalated_remaps, 1u);
-  EXPECT_EQ(remaps, 2);
-  EXPECT_GT(result.total_broken, 0u);
-  EXPECT_FALSE(result.map.find_host("h3").has_value());
-}
-
-// Regression: the paranoid gate's comparator matched only the aggregate
-// verdict (diagnostics + flags + labels), so an incremental pass that
-// certified a different route set with the same summary sailed through.
-// The certified per-route entries and the certifying root must be diffed
-// too.
-TEST(ParanoidGate, ComparatorDiffsTheCertifiedRouteSet) {
-  const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
-  const auto routes = routing::compute_updown_routes(t);
-  const analysis::AnalysisResult a = analysis::analyze(t, routes);
-  ASSERT_TRUE(a.analyzed_routes);
-  ASSERT_FALSE(a.legality.routes.empty());
-
-  analysis::AnalysisResult b = a;
-  EXPECT_TRUE(service::equivalent_verdicts(a, b));
-
-  b.legality.routes[0].apex_hop += 1;
-  EXPECT_FALSE(service::equivalent_verdicts(a, b));
-
-  b = a;
-  b.legality.routes[0].legal = false;
-  b.legality.routes[0].offending_hop = 0;
-  EXPECT_FALSE(service::equivalent_verdicts(a, b));
-
-  b = a;
-  b.legality.routes.pop_back();
-  EXPECT_FALSE(service::equivalent_verdicts(a, b));
-
-  b = a;
-  b.legality.root += 1;
-  EXPECT_FALSE(service::equivalent_verdicts(a, b));
+  service::RefreshLoop loop(net, catalog, config);
+  // Bootstrap on the intact fabric, then play the scenario's outage (the
+  // uplink dies at 5ms and returns at 500ms) against the served tables.
+  ASSERT_TRUE(loop.bootstrap().swapped());
+  ASSERT_TRUE(catalog.current()->map.find_host("h3").has_value());
+  const common::SimTime revival = common::SimTime::ms(500);
+  ASSERT_LT(loop.now(), revival);
+  net.attach_faults(&schedule);
+  std::size_t published_mid_outage = 0;
+  while (loop.now() < revival) {
+    service::TickReport report;
+    ASSERT_NO_THROW(report = loop.tick());
+    if (report.swapped() && report.at < revival) {
+      const service::SnapshotPtr snapshot = catalog.current();
+      ASSERT_NE(snapshot, nullptr);
+      EXPECT_FALSE(snapshot->map.find_host("h3").has_value());
+      EXPECT_TRUE(snapshot->map.find_host("h0").has_value());
+      ++published_mid_outage;
+    }
+  }
+  EXPECT_GT(published_mid_outage, 0u);
 }
 
 std::uint64_t fnv1a(const char* data, std::size_t size) {

@@ -14,7 +14,7 @@
 //                 [--sabotage-turn] [--diff OLD]
 //   sanmap dot    --in FILE [--out FILE]
 //   sanmap serve  --in FILE [--master HOST] [--ticks N] [--interval-ms M]
-//                 [--federate SPEC [--overlap N]] [--paranoid] [--optimize]
+//                 [--federate SPEC [--overlap N]] [--optimize]
 //                 [--faults SPEC | --churn SPEC [--churn-seed N]]
 //                 [--snapshot-out FILE]
 //   sanmap query  --snapshot FILE [--src HOST --dst HOST] [--sample N]
@@ -549,9 +549,6 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.define("overlap", "2",
                "region overlap margin (extra region probe depth)");
   flags.define("snapshot-out", "", "write the final snapshot here (binary)");
-  flags.define("paranoid", "false",
-               "cross-check the incremental publish gate with a from-scratch "
-               "analysis on every candidate snapshot");
   if (!flags.parse(argc, argv)) {
     return 0;
   }
@@ -575,7 +572,6 @@ int cmd_serve(int argc, const char* const* argv) {
   config.root_name = flags.get("root");
   config.route_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.optimize = flags.get_bool("optimize");
-  config.paranoid = flags.get_bool("paranoid");
   service::RefreshLoop loop(net, catalog, config);
 
   if (!flags.get("federate").empty()) {
@@ -646,8 +642,6 @@ int cmd_serve(int argc, const char* const* argv) {
     std::string action = "observe";
     if (report.backoff_active) {
       action = "backoff";
-    } else if (report.budget_exhausted) {
-      action = "budget";
     } else if (report.remapped) {
       action = std::string(to_string(report.remap)) +
                (report.escalated ? "(escalated)" : "") + " -> " +
@@ -666,11 +660,8 @@ int cmd_serve(int argc, const char* const* argv) {
             << stats.rejected_unsafe << " rejected unsafe, "
             << stats.rejected_stale << " rejected stale\n";
   const auto gate = catalog.gate_stats();
-  std::cerr << "gate      : " << gate.incremental_fast << " fast, "
-            << gate.incremental_escalated << " escalated, "
-            << gate.checker_rejections << " checker rejections, "
-            << gate.paranoid_divergences << " divergences, "
-            << gate.rejected_stale_lints << " stale-lint refusals\n";
+  std::cerr << "gate      : " << gate.rejected_stale_lints
+            << " stale-lint refusals\n";
   const service::SnapshotPtr current = catalog.current();
   if (current && !flags.get("snapshot-out").empty()) {
     service::write_snapshot_file(flags.get("snapshot-out"), *current);
