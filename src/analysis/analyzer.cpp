@@ -6,6 +6,9 @@
 
 namespace sanmap::analysis {
 
+namespace {
+
+/// Renders a legality certificate's illegal routes as SL101 findings.
 void emit_legality_findings(const topo::Topology& map,
                             const LegalityCertificate& cert,
                             DiagnosticReport& report) {
@@ -26,6 +29,8 @@ void emit_legality_findings(const topo::Topology& map,
   }
 }
 
+/// Renders a cyclic deadlock certificate as the SL201 finding (no-op when
+/// the certificate says deadlock-free).
 void emit_deadlock_findings(const DeadlockCertificate& cert,
                             DiagnosticReport& report) {
   if (cert.deadlock_free) {
@@ -44,18 +49,13 @@ void emit_deadlock_findings(const DeadlockCertificate& cert,
              "(Dally & Seitz); reject this table");
 }
 
+}  // namespace
+
 AnalysisResult analyze(const topo::Topology& map,
                        const routing::RoutingResult& routes,
                        const AnalyzerOptions& options) {
   AnalysisResult result;
-  result.report.set_cap(options.diagnostics_cap);
-
-  if (options.fabric_lints) {
-    lint_fabric(view_of(map), result.report);
-  }
-  if (!options.route_lints && !options.certificates) {
-    return result;
-  }
+  lint_fabric(view_of(map), result.report);
 
   const topo::NodeId root = routes.orientation.root();
   if (root >= map.node_capacity() || !map.node_alive(root) ||
@@ -68,7 +68,6 @@ AnalysisResult analyze(const topo::Topology& map,
   }
 
   DiagnosticReport structure;
-  structure.set_cap(options.diagnostics_cap);
   const bool sound = lint_route_structure(map, routes, structure);
   result.report.merge(structure);
   if (!sound) {
@@ -80,39 +79,33 @@ AnalysisResult analyze(const topo::Topology& map,
   }
   result.analyzed_routes = true;
 
-  if (options.certificates) {
-    result.legality = build_legality_certificate(map, routes);
-    emit_legality_findings(map, result.legality, result.report);
-    std::vector<std::string> why;
-    if (!check_legality(map, routes, result.legality, &why)) {
-      result.report.add("SL202", "legality",
-                        why.empty() ? "legality certificate recheck failed"
-                                    : why.front(),
-                        "analyzer self-check: report this as a bug");
-    }
-
-    const auto paths = routing::route_channel_paths(map, routes);
-    result.deadlock = build_deadlock_certificate(map, paths);
-    emit_deadlock_findings(result.deadlock, result.report);
-    why.clear();
-    if (!check_deadlock(paths, result.deadlock, &why)) {
-      result.report.add("SL202", "deadlock",
-                        why.empty() ? "deadlock certificate recheck failed"
-                                    : why.front(),
-                        "analyzer self-check: report this as a bug");
-    }
+  result.legality = build_legality_certificate(map, routes);
+  emit_legality_findings(map, result.legality, result.report);
+  std::vector<std::string> why;
+  if (!check_legality(map, routes, result.legality, &why)) {
+    result.report.add("SL202", "legality",
+                      why.empty() ? "legality certificate recheck failed"
+                                  : why.front(),
+                      "analyzer self-check: report this as a bug");
   }
 
-  if (options.route_lints) {
-    lint_route_quality(map, routes, options.lints, result.report);
+  const auto paths = routing::route_channel_paths(map, routes);
+  result.deadlock = build_deadlock_certificate(map, paths);
+  emit_deadlock_findings(result.deadlock, result.report);
+  why.clear();
+  if (!check_deadlock(paths, result.deadlock, &why)) {
+    result.report.add("SL202", "deadlock",
+                      why.empty() ? "deadlock certificate recheck failed"
+                                  : why.front(),
+                      "analyzer self-check: report this as a bug");
   }
+
+  lint_route_quality(map, routes, options.lints, result.report);
   return result;
 }
 
-AnalysisResult analyze_map(const topo::Topology& map,
-                           const AnalyzerOptions& options) {
+AnalysisResult analyze_map(const topo::Topology& map) {
   AnalysisResult result;
-  result.report.set_cap(options.diagnostics_cap);
   lint_fabric(view_of(map), result.report);
   return result;
 }

@@ -19,14 +19,11 @@
 
 namespace sanmap::analysis {
 
+/// Every analysis runs the fabric lints, the route lints and both
+/// certificates, storing at most 20 findings per code (DiagnosticReport's
+/// cap).
 struct AnalyzerOptions {
   LintOptions lints;
-  /// Per-code diagnostic storage cap.
-  std::size_t diagnostics_cap = 20;
-  bool fabric_lints = true;
-  bool route_lints = true;
-  /// Build + self-check the legality and deadlock certificates.
-  bool certificates = true;
 };
 
 struct AnalysisResult {
@@ -47,20 +44,7 @@ AnalysisResult analyze(const topo::Topology& map,
                        const AnalyzerOptions& options = {});
 
 /// Map-only analysis: fabric well-formedness lints, no route phase.
-AnalysisResult analyze_map(const topo::Topology& map,
-                           const AnalyzerOptions& options = {});
-
-/// Renders a legality certificate's illegal routes as SL101 findings.
-/// Shared between analyze() and the incremental engine so both emit
-/// byte-identical diagnostics from the same certificate.
-void emit_legality_findings(const topo::Topology& map,
-                            const LegalityCertificate& cert,
-                            DiagnosticReport& report);
-
-/// Renders a cyclic deadlock certificate as the SL201 finding (no-op when
-/// the certificate says deadlock-free).
-void emit_deadlock_findings(const DeadlockCertificate& cert,
-                            DiagnosticReport& report);
+AnalysisResult analyze_map(const topo::Topology& map);
 
 /// The whole result as JSON: diagnostics plus certificate summaries.
 std::string to_json(const AnalysisResult& result);

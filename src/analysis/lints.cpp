@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "routing/congestion.hpp"
 #include "topology/algorithms.hpp"
 
 namespace sanmap::analysis {
@@ -27,6 +28,47 @@ std::string end_text(const FabricView& view, const topo::PortRef& end) {
 
 bool end_in_range(const FabricView& view, const topo::PortRef& end) {
   return end.node < view.nodes.size() && view.nodes[end.node].alive;
+}
+
+/// SL401, SL403 and SL404 need at least this many routes.
+constexpr std::size_t kMinRoutesForQuality = 6;
+
+/// The SL307 finding for one isolated node.
+void emit_isolated_node(DiagnosticReport& report, const std::string& label,
+                        bool host) {
+  report.add("SL307", label,
+             std::string(host ? "host" : "switch") + " has no live wires",
+             "unreachable by every probe and every route");
+}
+
+/// The SL308 finding for a fabric of `components` > 1 connected components.
+void emit_component_count(DiagnosticReport& report, int components) {
+  if (components > 1) {
+    report.add("SL308", "",
+               std::to_string(components) +
+                   " connected components: only the mapper's component is "
+                   "mappable",
+               "");
+  }
+}
+
+/// SL403's parallel-cable index: directed switch-to-switch channels grouped
+/// by (from, to) node pair. The bool is channel direction — true when the
+/// wire's `a` end is the group's `from`. Within a group, entries ascend by
+/// wire id, which fixes the hottest-wire tie-break.
+using CableGroups = std::map<std::pair<topo::NodeId, topo::NodeId>,
+                             std::vector<std::pair<topo::WireId, bool>>>;
+
+CableGroups parallel_cable_groups(const topo::Topology& topo) {
+  CableGroups parallel;
+  for (const topo::WireId w : topo.wires()) {
+    const topo::Wire& wire = topo.wire(w);
+    if (topo.is_switch(wire.a.node) && topo.is_switch(wire.b.node)) {
+      parallel[{wire.a.node, wire.b.node}].emplace_back(w, true);
+      parallel[{wire.b.node, wire.a.node}].emplace_back(w, false);
+    }
+  }
+  return parallel;
 }
 
 }  // namespace
@@ -204,33 +246,9 @@ void lint_fabric(const FabricView& view, DiagnosticReport& report) {
   emit_component_count(report, components);
 }
 
-void emit_isolated_node(DiagnosticReport& report, const std::string& label,
-                        bool host) {
-  report.add("SL307", label,
-             std::string(host ? "host" : "switch") + " has no live wires",
-             "unreachable by every probe and every route");
-}
+namespace {
 
-void emit_component_count(DiagnosticReport& report, int components) {
-  if (components > 1) {
-    report.add("SL308", "",
-               std::to_string(components) +
-                   " connected components: only the mapper's component is "
-                   "mappable",
-               "");
-  }
-}
-
-bool lint_route_structure(const topo::Topology& topo,
-                          const routing::RoutingResult& routes,
-                          DiagnosticReport& report) {
-  bool sound = true;
-  for (const auto& [key, route] : routes.routes) {
-    sound = lint_route_structure_one(topo, key, route, report) && sound;
-  }
-  return sound;
-}
-
+/// SL102..SL105 for one route. Returns true when it added no finding.
 bool lint_route_structure_one(
     const topo::Topology& topo,
     const std::pair<topo::NodeId, topo::NodeId>& key,
@@ -318,63 +336,22 @@ bool lint_route_structure_one(
   return report.errors() == before;
 }
 
+}  // namespace
+
+bool lint_route_structure(const topo::Topology& topo,
+                          const routing::RoutingResult& routes,
+                          DiagnosticReport& report) {
+  bool sound = true;
+  for (const auto& [key, route] : routes.routes) {
+    sound = lint_route_structure_one(topo, key, route, report) && sound;
+  }
+  return sound;
+}
+
 void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
                         const LintOptions& options,
                         DiagnosticReport& report) {
-  // Default distance oracle: from-scratch BFS, cached across the
-  // consecutive routes that share a source (the route map is key-ordered).
-  topo::NodeId bfs_src = topo::kInvalidNode;
-  std::vector<int> dist;
-  lint_route_quality(topo, routes, options, report,
-                     [&](topo::NodeId src) -> const std::vector<int>& {
-                       if (src != bfs_src) {
-                         bfs_src = src;
-                         dist = topo::bfs_distances(topo, src);
-                       }
-                       return dist;
-                     });
-}
-
-ParallelCableGroups parallel_cable_groups(const topo::Topology& topo) {
-  ParallelCableGroups parallel;
-  for (const topo::WireId w : topo.wires()) {
-    const topo::Wire& wire = topo.wire(w);
-    if (topo.is_switch(wire.a.node) && topo.is_switch(wire.b.node)) {
-      parallel[{wire.a.node, wire.b.node}].emplace_back(w, true);
-      parallel[{wire.b.node, wire.a.node}].emplace_back(w, false);
-    }
-  }
-  return parallel;
-}
-
-ChannelLoads channel_loads(const topo::Topology& topo,
-                           const routing::RoutingResult& routes) {
-  ChannelLoads load;
-  for (const auto& [key, route] : routes.routes) {
-    for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const topo::Wire& wire = topo.wire(route.wires[i]);
-      load[{route.wires[i], wire.a.node == route.nodes[i]}] += 1;
-    }
-  }
-  return load;
-}
-
-void lint_route_quality(const topo::Topology& topo,
-                        const routing::RoutingResult& routes,
-                        const LintOptions& options, DiagnosticReport& report,
-                        const DistanceProvider& distances) {
-  lint_route_quality(topo, routes, options, report, distances,
-                     parallel_cable_groups(topo),
-                     channel_loads(topo, routes));
-}
-
-void lint_route_quality(const topo::Topology& topo,
-                        const routing::RoutingResult& routes,
-                        const LintOptions& options, DiagnosticReport& report,
-                        const DistanceProvider& distances,
-                        const ParallelCableGroups& parallel,
-                        const ChannelLoads& loads) {
   // SL402: every ordered pair of live hosts must have a route.
   const auto hosts = topo.hosts();
   for (const topo::NodeId src : hosts) {
@@ -389,7 +366,7 @@ void lint_route_quality(const topo::Topology& topo,
     }
   }
 
-  if (routes.routes.size() < options.min_routes_for_quality) {
+  if (routes.routes.size() < kMinRoutesForQuality) {
     return;
   }
 
@@ -399,8 +376,16 @@ void lint_route_quality(const topo::Topology& topo,
   std::size_t non_minimal = 0;
   int worst_extra = 0;
   std::string worst;
+  // BFS distances, cached across the consecutive routes that share a
+  // source (the route map is key-ordered).
+  topo::NodeId bfs_src = topo::kInvalidNode;
+  std::vector<int> dist;
   for (const auto& [key, route] : routes.routes) {
-    const int shortest = distances(key.first)[key.second];
+    if (key.first != bfs_src) {
+      bfs_src = key.first;
+      dist = topo::bfs_distances(topo, bfs_src);
+    }
+    const int shortest = dist[key.second];
     if (shortest >= 0 && route.hops() > shortest) {
       ++non_minimal;
       if (route.hops() - shortest > worst_extra) {
@@ -436,9 +421,9 @@ void lint_route_quality(const topo::Topology& topo,
   //  * skew across redundant parallel cables between the same two switches
   //    (the seed's tie-break exists precisely to spread those), and
   //  * a single channel funneling the majority of all routes.
+  const std::vector<std::size_t> loads = routing::channel_loads(topo, routes);
   const auto channel_load = [&](topo::WireId w, bool a_to_b) {
-    const auto it = loads.find({w, a_to_b});
-    return it == loads.end() ? std::size_t{0} : it->second;
+    return loads[routing::channel_slot(w, a_to_b)];
   };
   // Parallel-cable skew. When the route optimizer declared a per-cable
   // assignment for the whole group, the lint audits the table against that
@@ -456,7 +441,7 @@ void lint_route_quality(const topo::Topology& topo,
     const auto it = plan.find({w, a_to_b});
     return it == plan.end() ? nullptr : &it->second;
   };
-  for (const auto& [endpoints, channels] : parallel) {
+  for (const auto& [endpoints, channels] : parallel_cable_groups(topo)) {
     if (channels.size() < 2) {
       continue;
     }
@@ -538,10 +523,10 @@ void lint_route_quality(const topo::Topology& topo,
   // orientation has collapsed the fabric onto a single pipe.
   std::size_t max_load = 0;
   std::pair<topo::WireId, bool> hottest{topo::kInvalidWire, false};
-  for (const auto& [channel, n] : loads) {
-    if (n > max_load) {
-      max_load = n;
-      hottest = channel;
+  for (std::size_t slot = 0; slot < loads.size(); ++slot) {
+    if (loads[slot] > max_load) {
+      max_load = loads[slot];
+      hottest = {static_cast<topo::WireId>(slot / 2), slot % 2 != 0};
     }
   }
   if (max_load * 2 > routes.routes.size() && routes.routes.size() > 0) {

@@ -8,27 +8,12 @@
 
 #include "common/check.hpp"
 #include "routing/all_pairs.hpp"
+#include "routing/congestion.hpp"
 #include "routing/deadlock.hpp"
 
 namespace sanmap::routing {
 
 namespace {
-
-std::size_t channel_slot(topo::WireId w, bool a_to_b) {
-  return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
-}
-
-std::vector<std::size_t> channel_loads_of(const topo::Topology& topo,
-                                          const RoutingResult& routes) {
-  std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
-  for (const auto& [key, route] : routes.routes) {
-    for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const bool a_to_b = topo.wire(route.wires[i]).a.node == route.nodes[i];
-      ++load[channel_slot(route.wires[i], a_to_b)];
-    }
-  }
-  return load;
-}
 
 std::size_t max_load(const std::vector<std::size_t>& load) {
   std::size_t best = 0;
@@ -257,7 +242,7 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
   SANMAP_CHECK(options.max_rounds >= 1);
   OptimizerReport report;
   const PathSearch search(topo, routes.orientation);
-  std::vector<std::size_t> load = channel_loads_of(topo, routes);
+  std::vector<std::size_t> load = channel_loads(topo, routes);
   report.max_load_before = max_load(load);
 
   for (int round = 0; round < options.max_rounds; ++round) {
@@ -266,7 +251,7 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
     const std::size_t cable_moves = cable_pass(topo, routes, search, load);
     if (!table_proven_safe(topo, routes)) {
       routes.routes = saved;
-      load = channel_loads_of(topo, routes);
+      load = channel_loads(topo, routes);
       report.reverted = true;
       break;
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "common/check.hpp"
 
@@ -35,197 +34,6 @@ std::vector<int> bfs_distances(const Topology& topo, NodeId from) {
     }
   }
   return dist;
-}
-
-DynamicBfs::DynamicBfs(const Topology& topo, NodeId source)
-    : source_(source) {
-  reseed(topo);
-}
-
-void DynamicBfs::reseed(const Topology& topo) {
-  SANMAP_CHECK(topo.node_alive(source_));
-  dist_ = bfs_distances(topo, source_);
-  scratch_affected_.assign(dist_.size(), 0);
-  scratch_tentative_.assign(dist_.size(), std::numeric_limits<int>::max());
-}
-
-void DynamicBfs::ripple_from(const Topology& topo, NodeId start) {
-  // Decrease-only relaxation: exact given that dist_ already holds valid
-  // (realizable) upper bounds everywhere.
-  std::vector<NodeId> queue{start};
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId n = queue[head];
-    const int next = dist_[n] + 1;
-    Port p = 0;
-    for (const WireId w : topo.port_wires(n)) {
-      const PortRef here{n, p++};
-      if (w == kInvalidWire) {
-        continue;
-      }
-      const NodeId far = topo.wire(w).opposite(here).node;
-      if (dist_[far] == -1 || dist_[far] > next) {
-        dist_[far] = next;
-        queue.push_back(far);
-      }
-    }
-  }
-}
-
-void DynamicBfs::apply(const Topology& topo, const std::vector<Edge>& removed,
-                       const std::vector<Edge>& added) {
-  SANMAP_CHECK(topo.node_alive(source_));
-  dist_.resize(topo.node_capacity(), -1);
-  scratch_affected_.resize(dist_.size(), 0);
-  scratch_tentative_.resize(dist_.size(), std::numeric_limits<int>::max());
-  std::vector<char>& is_affected = scratch_affected_;
-  std::vector<int>& tentative = scratch_tentative_;
-
-  // Phase 1 — deletion repair. Seed the orphan scan with the deeper
-  // endpoint of every removed edge (the one that may have lost its parent)
-  // and with endpoints that died outright. Levels are processed in
-  // ascending distance order so a node's support is only ever checked
-  // against finally-decided shallower nodes.
-  std::map<int, std::vector<NodeId>> buckets;
-  const auto seed = [&](NodeId n) {
-    if (n < dist_.size() && dist_[n] >= 0) {
-      buckets[dist_[n]].push_back(n);
-    }
-  };
-  for (const Edge& e : removed) {
-    if (e.a >= dist_.size() || e.b >= dist_.size()) {
-      continue;
-    }
-    if (!topo.node_alive(e.a)) {
-      seed(e.a);
-    }
-    if (!topo.node_alive(e.b)) {
-      seed(e.b);
-    }
-    if (dist_[e.a] >= 0 && dist_[e.b] >= 0 && dist_[e.a] != dist_[e.b]) {
-      seed(dist_[e.a] > dist_[e.b] ? e.a : e.b);
-    }
-  }
-
-  std::vector<NodeId> affected;
-  while (!buckets.empty()) {
-    const auto level = buckets.begin();
-    const std::vector<NodeId> layer = std::move(level->second);
-    buckets.erase(level);
-    for (const NodeId x : layer) {
-      if (is_affected[x] || x == source_ || dist_[x] < 0) {
-        continue;
-      }
-      bool supported = false;
-      if (topo.node_alive(x)) {
-        Port p = 0;
-        for (const WireId w : topo.port_wires(x)) {
-          const PortRef here{x, p++};
-          if (w == kInvalidWire) {
-            continue;
-          }
-          const NodeId far = topo.wire(w).opposite(here).node;
-          if (!is_affected[far] && dist_[far] == dist_[x] - 1) {
-            supported = true;
-            break;
-          }
-        }
-      }
-      if (supported) {
-        continue;
-      }
-      is_affected[x] = 1;
-      affected.push_back(x);
-      if (topo.node_alive(x)) {
-        Port p = 0;
-        for (const WireId w : topo.port_wires(x)) {
-          const PortRef here{x, p++};
-          if (w == kInvalidWire) {
-            continue;
-          }
-          const NodeId far = topo.wire(w).opposite(here).node;
-          if (!is_affected[far] && dist_[far] == dist_[x] + 1) {
-            buckets[dist_[far]].push_back(far);
-          }
-        }
-      }
-    }
-  }
-
-  // Re-settle the affected region from its intact frontier (multi-source,
-  // bucketed by tentative distance — unit edges keep this a BFS in
-  // disguise). Nodes never settled are now unreachable.
-  for (const NodeId x : affected) {
-    dist_[x] = -1;
-  }
-  std::map<int, std::vector<NodeId>> settle;
-  for (const NodeId x : affected) {
-    if (!topo.node_alive(x)) {
-      continue;
-    }
-    int best = std::numeric_limits<int>::max();
-    Port p = 0;
-    for (const WireId w : topo.port_wires(x)) {
-      const PortRef here{x, p++};
-      if (w == kInvalidWire) {
-        continue;
-      }
-      const NodeId far = topo.wire(w).opposite(here).node;
-      if (dist_[far] >= 0) {
-        best = std::min(best, dist_[far] + 1);
-      }
-    }
-    if (best < tentative[x]) {
-      tentative[x] = best;
-      settle[best].push_back(x);
-    }
-  }
-  std::vector<NodeId> resettled;
-  while (!settle.empty()) {
-    const auto level = settle.begin();
-    const int d = level->first;
-    const std::vector<NodeId> layer = std::move(level->second);
-    settle.erase(level);
-    for (const NodeId x : layer) {
-      if (dist_[x] != -1) {
-        continue;  // settled at a smaller distance already
-      }
-      dist_[x] = d;
-      resettled.push_back(x);
-      Port p = 0;
-      for (const WireId w : topo.port_wires(x)) {
-        const PortRef here{x, p++};
-        if (w == kInvalidWire) {
-          continue;
-        }
-        const NodeId far = topo.wire(w).opposite(here).node;
-        if (is_affected[far] && dist_[far] == -1 && d + 1 < tentative[far]) {
-          tentative[far] = d + 1;
-          settle[d + 1].push_back(far);
-        }
-      }
-    }
-  }
-
-  // Phase 2 — insertion ripple. The settle above may already have used
-  // added edges (it consults the post-batch topology), so every re-settled
-  // node doubles as a ripple source alongside the added endpoints: that
-  // guarantees any improvement chain has a popped predecessor.
-  for (const NodeId x : resettled) {
-    ripple_from(topo, x);
-  }
-  for (const Edge& e : added) {
-    for (const NodeId n : {e.a, e.b}) {
-      if (n < dist_.size() && topo.node_alive(n) && dist_[n] >= 0) {
-        ripple_from(topo, n);
-      }
-    }
-  }
-
-  // Return the scratch to its resting state (touched entries only).
-  for (const NodeId x : affected) {
-    is_affected[x] = 0;
-    tentative[x] = std::numeric_limits<int>::max();
-  }
 }
 
 bool connected(const Topology& topo) {

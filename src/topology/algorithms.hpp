@@ -22,60 +22,6 @@ namespace sanmap::topo {
 /// graph metric (message semantics live in simnet, not here).
 std::vector<int> bfs_distances(const Topology& topo, NodeId from);
 
-/// Incrementally maintained single-source BFS distances.
-///
-/// Holds the exact bfs_distances() vector for one source and repairs it
-/// under batched edge changes instead of re-running the O(n + m) search:
-/// deletions run the two-phase orphan repair (level-ascending support scan
-/// over the affected region, then a bounded multi-source re-settle from its
-/// intact frontier), insertions run the standard decrease-only ripple. Cost
-/// is O(affected region), which on redundant fabrics (fat trees under
-/// single-wire churn) is near-constant — the property the incremental
-/// analyzer's SL401 path depends on for sublinear per-epoch cost.
-///
-/// The repaired vector is exact, not approximate: distances() equals
-/// bfs_distances(topo, source()) after every apply() (the randomized
-/// algorithm tests and the incremental-lint-equiv fuzz oracle both enforce
-/// this).
-class DynamicBfs {
- public:
-  /// An undirected unit edge, by endpoints (wire ids are irrelevant here;
-  /// parallel wires between the same pair are one edge for BFS purposes —
-  /// callers pass every wire change and the repair handles multiplicity by
-  /// consulting the live topology, never a cached adjacency).
-  struct Edge {
-    NodeId a = kInvalidNode;
-    NodeId b = kInvalidNode;
-  };
-
-  /// Seeds from a full BFS. `source` must be live.
-  DynamicBfs(const Topology& topo, NodeId source);
-
-  /// Applies one batch of mutations already performed on `topo`:
-  /// `removed` lists wires that died (by their endpoints), `added` lists
-  /// wires that appeared or revived. Dead nodes need no separate
-  /// notification — their wires die with them and the orphan repair sweeps
-  /// them to -1. The topology passed here must reflect ALL changes of the
-  /// batch (both lists), and the source must still be live.
-  void apply(const Topology& topo, const std::vector<Edge>& removed,
-             const std::vector<Edge>& added);
-
-  [[nodiscard]] NodeId source() const { return source_; }
-  /// The maintained distance vector, same contract as bfs_distances().
-  [[nodiscard]] const std::vector<int>& distances() const { return dist_; }
-
- private:
-  void reseed(const Topology& topo);
-  void ripple_from(const Topology& topo, NodeId start);
-
-  NodeId source_ = kInvalidNode;
-  std::vector<int> dist_;
-  /// Persistent scratch (cleared back after every apply, so repair cost
-  /// stays O(affected region) instead of O(n) per batch).
-  std::vector<char> scratch_affected_;
-  std::vector<int> scratch_tentative_;
-};
-
 /// True when all live nodes are mutually reachable.
 bool connected(const Topology& topo);
 

@@ -54,21 +54,6 @@
 //                     runs on the settled surviving fabric, so fault
 //                     schedules are covered too; flap timelines are a skip
 //                     (no quiescent instant to map at).
-//  * incremental-lint-equiv — the incremental static analyzer is exact:
-//                     prime an analysis::AnalysisState on the pre-fault
-//                     mapper-component core, reanalyze the settled surviving
-//                     fabric (for quiescent cases, the same core with one
-//                     redundant switch-switch wire dropped — a synthesized
-//                     single-wire epoch), and demand the incremental
-//                     AnalysisResult match a from-scratch analyze() of the
-//                     same inputs byte-for-byte — diagnostics, legality
-//                     entries, labels, and the deadlock verdict (the
-//                     topological order itself may differ; both orders are
-//                     re-proved instead of compared). The emitted
-//                     CertificateDelta must also survive the independent
-//                     DeltaChecker, and the incremental certificates the
-//                     from-scratch re-checkers (incremental-lint-cert);
-//                     exceptions are incremental-lint-crash.
 //  * incremental-equiv — for the same flap-free faulted cases, run after
 //                     the timeline settles (clock based past the last
 //                     event): an IncrementalMapper sweep restricted to the
@@ -102,8 +87,7 @@ struct Violation {
   /// "analysis-deadlock-diff", "analysis-certificate", "analysis-crash",
   /// "conservation", "pipeline-equiv", "pipeline-crash", "robust-iso",
   /// "robust-crash", "incremental-equiv", "incremental-crash",
-  /// "incremental-lint-equiv", "incremental-lint-cert",
-  /// "incremental-lint-crash", "regional-iso", "regional-crash".
+  /// "regional-iso", "regional-crash".
   std::string oracle;
   std::string detail;
 };
@@ -129,7 +113,6 @@ struct OracleOptions {
   bool pipeline = true;
   bool robust = true;
   bool incremental = true;
-  bool incremental_lint = true;
   bool regional = true;
 
   /// regional-iso: regions to plan over the mapper's component (clamped to

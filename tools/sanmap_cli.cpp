@@ -23,7 +23,9 @@
 // src/topology/serialize.hpp); "-" means stdin/stdout.
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "analysis/analyzer.hpp"
@@ -778,92 +780,142 @@ int print_lint_result(const analysis::AnalysisResult& result) {
   return result.report.exit_code();
 }
 
-// sanmap lint --diff: incremental re-analysis of NEW against OLD. Both
-// inputs must share a wire/node id space (the usual source: two
-// serializations of the same fabric across a mutation or a churn window —
-// topology ids are append-only, so that correspondence is exact). The old
-// case primes an AnalysisState, the new one is reanalyzed through the
-// dirty-region engine, and an independent DeltaChecker re-proves the
-// emitted CertificateDelta; a refused delta is an ERROR-grade exit no
-// matter what the report itself says.
-int lint_diff(const topo::Topology& old_fabric, const topo::Topology& fabric,
-              const std::string& root_name, std::uint64_t seed,
-              const analysis::AnalyzerOptions& options, bool json) {
-  const auto route = [&](const topo::Topology& t) {
-    routing::UpDownOptions route_options;
-    if (!root_name.empty()) {
-      for (const topo::NodeId s : t.switches()) {
-        if (t.name(s) == root_name) {
-          route_options.root = s;
-        }
-      }
-      if (!route_options.root) {
-        throw std::runtime_error("no switch named " + root_name);
+using RouteAnalyzer = std::function<analysis::AnalysisResult(
+    const topo::Topology&, const routing::RoutingResult&)>;
+
+// The single-file lint path. Routes over the component a mapper would
+// discover (--root, --seed, --optimize, --sabotage-turn), hands that map
+// and table to `analyze_routes`, and adds the fabric lints of the rest of
+// the fabric. With --map-only, or without a switch and a host, only the
+// fabric lints run.
+analysis::AnalysisResult lint_one(const topo::Topology& fabric,
+                                  const common::Flags& flags,
+                                  const RouteAnalyzer& analyze_routes) {
+  if (flags.get_bool("map-only") || fabric.num_switches() < 1 ||
+      fabric.num_hosts() < 1) {
+    return analysis::analyze_map(fabric);
+  }
+  topo::Topology local = fabric;
+  std::vector<int> component;
+  topo::components(local, component);
+  const topo::NodeId anchor = local.hosts().front();
+  for (const topo::NodeId n : local.nodes()) {
+    if (component[n] != component[anchor]) {
+      local.remove_node(n);
+    }
+  }
+  local = local.compacted();
+  routing::UpDownOptions route_options;
+  if (const std::string root = flags.get("root"); !root.empty()) {
+    for (const topo::NodeId s : local.switches()) {
+      if (local.name(s) == root) {
+        route_options.root = s;
       }
     }
-    return routing::compute_updown_routes(t, route_options, seed);
-  };
-  const routing::RoutingResult old_routes = route(old_fabric);
-  const routing::RoutingResult new_routes = route(fabric);
+    if (!route_options.root) {
+      throw std::runtime_error("no switch named " + root +
+                               " in the mapper's component");
+    }
+  }
+  analysis::AnalysisResult result;
+  if (local.num_switches() >= 1) {
+    routing::RoutingResult routes = routing::compute_updown_routes(
+        local, route_options,
+        static_cast<std::uint64_t>(flags.get_int("seed")));
+    if (flags.get_bool("optimize")) {
+      routing::optimize_routes(local, routes);
+    }
+    if (flags.get_bool("sabotage-turn")) {
+      const std::string injected = analysis::inject_down_up_turn(local, routes);
+      if (injected.empty()) {
+        throw std::runtime_error(
+            "--sabotage-turn: topology offers no injectable detour");
+      }
+      std::cerr << "sabotage  : " << injected << "\n";
+    }
+    result = analyze_routes(local, routes);
+  } else {
+    result = analysis::analyze_map(local);
+  }
+  // Fabric lints over the FULL map too (dangling wires or port clashes
+  // outside the mapped component still deserve diagnostics), deduped by
+  // the report's own per-code cap.
+  if (local.num_nodes() != fabric.num_nodes()) {
+    result.report.merge(analysis::analyze_map(fabric).report);
+  }
+  return result;
+}
 
-  analysis::AnalysisStateOptions state_options;
-  state_options.analyzer = options;
-  analysis::AnalysisState state(state_options);
+void print_delta(const analysis::CertificateDelta& delta) {
+  if (delta.empty()) {
+    std::cerr << "delta     : empty\n";
+    return;
+  }
+  std::cerr << "delta     : routes +" << delta.added_routes.size() << " ~"
+            << delta.changed_routes.size() << " -"
+            << delta.removed_routes.size() << "; findings +"
+            << delta.introduced.size() << " -" << delta.resolved.size()
+            << "\n";
+  const auto list = [](char sign,
+                       const std::vector<analysis::CertificateDelta::Finding>&
+                           findings) {
+    for (const auto& [code, location] : findings) {
+      std::cerr << "            " << sign << " " << code
+                << (location.empty() ? "" : " " + location) << "\n";
+    }
+  };
+  list('+', delta.introduced);
+  list('-', delta.resolved);
+}
+
+// sanmap lint --diff OLD --in NEW: both inputs go through the single-file
+// lint path, with one AnalysisState behind the route phase. Prints the
+// name-keyed delta from OLD to NEW and the certificate checker's verdict,
+// then NEW's report; a rejected certificate makes the exit code 2.
+int lint_diff(const topo::Topology& old_fabric, const topo::Topology& fabric,
+              const common::Flags& flags,
+              const analysis::AnalyzerOptions& options) {
+  analysis::AnalysisState state(options);
   analysis::DeltaChecker checker;
   std::vector<std::string> why;
+  bool checked = false;
+  bool proven = true;
+  std::optional<analysis::CertificateDelta> delta;
+  const RouteAnalyzer through_state = [&](const topo::Topology& map,
+                                          const routing::RoutingResult&
+                                              routes) {
+    analysis::AnalysisState::Result step = state.reanalyze(map, routes);
+    checked = true;
+    proven = checker.check(map, routes, step.analysis, step.delta, &why) &&
+             proven;
+    delta = std::move(step.delta);
+    return std::move(step.analysis);
+  };
 
-  const analysis::AnalysisState::Result base =
-      state.reset(old_fabric, old_routes);
-  if (!checker.check(old_fabric, old_routes, base.analysis, base.delta,
-                     &why)) {
-    std::cerr << "baseline  : REJECTED by the certificate checker\n";
-    for (const std::string& line : why) {
-      std::cerr << "            - " << line << "\n";
-    }
-    return 2;
-  }
-  const analysis::AnalysisState::Result step = state.reanalyze(fabric,
-                                                               new_routes);
-  const bool proven =
-      checker.check(fabric, new_routes, step.analysis, step.delta, &why);
-
-  const analysis::CertificateDelta& delta = step.delta;
-  std::cerr << "baseline  : "
-            << (base.analysis.report.exit_code() == 2 ? "ERRORS" : "ok")
-            << " (" << old_fabric.num_switches() << " switches, "
-            << old_routes.routes.size() << " routes)\n";
-  std::cerr << "delta     : revision " << delta.base_revision << " -> "
-            << delta.revision << ", ";
-  if (delta.escalated_full) {
-    std::cerr << "escalated (" << analysis::to_string(delta.reason) << ")\n";
+  lint_one(old_fabric, flags, through_state);
+  delta.reset();
+  const analysis::AnalysisResult result = lint_one(fabric, flags,
+                                                   through_state);
+  if (delta) {
+    print_delta(*delta);
   } else {
-    std::cerr << "fast path, " << delta.touched() << " touched\n";
-    std::cerr << "            dirty " << delta.dirty_wires.size()
-              << " wires / " << delta.dirty_nodes.size() << " nodes; routes "
-              << delta.changed_routes.size() << " changed / "
-              << delta.removed_routes.size() << " removed; labels "
-              << delta.label_updates.size() << "; legality "
-              << delta.legality_updates.size() << "; edges +"
-              << delta.inserted_edges.size() << "/-"
-              << delta.removed_edges.size()
-              << (delta.order_rebuilt ? "; order rebuilt" : "") << "\n";
+    std::cerr << "delta     : none (no route phase)\n";
   }
-  if (proven) {
-    std::cerr << "checker   : delta PROVEN (revision " << checker.revision()
-              << ")\n";
-  } else {
-    std::cerr << "checker   : delta REJECTED\n";
-    for (const std::string& line : why) {
-      std::cerr << "            - " << line << "\n";
-    }
+  if (checked) {
+    std::cerr << "checker   : "
+              << (proven ? "certificates PROVEN" : "certificates REJECTED")
+              << "\n";
+  }
+  for (const std::string& line : why) {
+    std::cerr << "            - " << line << "\n";
   }
 
   int code;
-  if (json) {
-    std::cout << analysis::to_json(step.analysis) << "\n";
-    code = step.analysis.report.exit_code();
+  if (flags.get_bool("json")) {
+    std::cout << analysis::to_json(result) << "\n";
+    code = result.report.exit_code();
   } else {
-    code = print_lint_result(step.analysis);
+    code = print_lint_result(result);
   }
   return proven ? code : 2;
 }
@@ -871,8 +923,8 @@ int lint_diff(const topo::Topology& old_fabric, const topo::Topology& fabric,
 // sanmap lint: the static analyzer's CLI face. Reads a topology v1 file,
 // a to_dot export, or a .sancase scenario (auto-detected), runs sanlint,
 // and exits with the report's max severity (0 clean/info, 1 warnings,
-// 2 errors). With --diff OLD the run goes through the incremental engine
-// instead: OLD primes the baseline, --in is reanalyzed as a delta.
+// 2 errors). With --diff OLD, OLD is linted first and the run also
+// reports what changed from OLD to --in.
 int cmd_lint(int argc, const char* const* argv) {
   common::Flags flags;
   flags.define("in", "-",
@@ -890,14 +942,14 @@ int cmd_lint(int argc, const char* const* argv) {
                "inject an illegal down-to-up turn into one route first "
                "(self-check: lint must then fail with SL101)");
   flags.define("diff", "",
-               "baseline input: prime the incremental engine on it, "
-               "reanalyze --in as a certificate delta, and have the "
-               "independent checker re-prove the delta");
+               "baseline input: lint it too, print the routes and findings "
+               "that changed from it to --in, and re-check the "
+               "certificates");
   if (!flags.parse(argc, argv)) {
     return 0;
   }
 
-  topo::Topology fabric = read_lint_input(flags.get("in"));
+  const topo::Topology fabric = read_lint_input(flags.get("in"));
 
   analysis::AnalyzerOptions options;
   options.lints.hop_limit = static_cast<int>(flags.get_int("hop-limit"));
@@ -905,75 +957,15 @@ int cmd_lint(int argc, const char* const* argv) {
       flags.get_double("imbalance-threshold");
 
   if (!flags.get("diff").empty()) {
-    // Diff mode routes over the raw fabrics (no component stripping, no
-    // compaction): the incremental engine keys its dirty sets on wire and
-    // node ids, and only the uncompacted fabric keeps those stable across
-    // the two inputs.
-    return lint_diff(read_lint_input(flags.get("diff")), fabric,
-                     flags.get("root"),
-                     static_cast<std::uint64_t>(flags.get_int("seed")),
-                     options, flags.get_bool("json"));
+    return lint_diff(read_lint_input(flags.get("diff")), fabric, flags,
+                     options);
   }
-
-  analysis::AnalysisResult result;
-  const bool routable = !flags.get_bool("map-only") &&
-                        fabric.num_switches() >= 1 && fabric.num_hosts() >= 1;
-  if (routable) {
-    // Route over the component a mapper would discover: lints about the
-    // rest of the fabric still come from the full-map fabric pass below.
-    topo::Topology local = fabric;
-    std::vector<int> component;
-    topo::components(local, component);
-    const topo::NodeId anchor = local.hosts().front();
-    for (const topo::NodeId n : local.nodes()) {
-      if (component[n] != component[anchor]) {
-        local.remove_node(n);
-      }
-    }
-    local = local.compacted();
-    routing::UpDownOptions route_options;
-    if (const std::string root = flags.get("root"); !root.empty()) {
-      for (const topo::NodeId s : local.switches()) {
-        if (local.name(s) == root) {
-          route_options.root = s;
-        }
-      }
-      if (!route_options.root) {
-        throw std::runtime_error("no switch named " + root +
-                                 " in the mapper's component");
-      }
-    }
-    if (local.num_switches() >= 1) {
-      routing::RoutingResult routes = routing::compute_updown_routes(
-          local, route_options,
-          static_cast<std::uint64_t>(flags.get_int("seed")));
-      if (flags.get_bool("optimize")) {
-        routing::optimize_routes(local, routes);
-      }
-      if (flags.get_bool("sabotage-turn")) {
-        const std::string injected =
-            analysis::inject_down_up_turn(local, routes);
-        if (injected.empty()) {
-          throw std::runtime_error(
-              "--sabotage-turn: topology offers no injectable detour");
-        }
-        std::cerr << "sabotage  : " << injected << "\n";
-      }
-      result = analysis::analyze(local, routes, options);
-    } else {
-      result = analysis::analyze_map(local, options);
-    }
-    // Fabric lints over the FULL map too (dangling wires or port clashes
-    // outside the mapped component still deserve diagnostics), deduped by
-    // the report's own per-code cap.
-    if (local.num_nodes() != fabric.num_nodes()) {
-      analysis::AnalysisResult whole = analysis::analyze_map(fabric, options);
-      result.report.merge(whole.report);
-    }
-  } else {
-    result = analysis::analyze_map(fabric, options);
-  }
-
+  const analysis::AnalysisResult result = lint_one(
+      fabric, flags,
+      [&options](const topo::Topology& map,
+                 const routing::RoutingResult& routes) {
+        return analysis::analyze(map, routes, options);
+      });
   if (flags.get_bool("json")) {
     std::cout << analysis::to_json(result) << "\n";
     return result.report.exit_code();
