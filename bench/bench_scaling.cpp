@@ -4,7 +4,11 @@
 // Sweeps the Berkeley mapper over generated megafabrics — tapered
 // multi-level fat trees (the primary O(m) family) plus dragonfly-ish
 // irregular meshes for shape variety — and records, per size, the probe
-// count, the wall-clock mapping time, and probes/m. Sessions use the
+// count, the wall-clock mapping time, probes/m, and the simulator's hop
+// walk: wire traversals per probe and wall ns per wire traversal. The
+// banded fat trees' diameter grows with m, so their total hops grow as
+// O(m^2) even though probes/m is flat; the two hop columns show that cost
+// (report-only, no gate). Sessions use the
 // analytic generous_search_depth (3W + 3): depth overshoot sends no extra
 // probes, and the exact min-cost-flow Q / all-pairs-BFS D are quadratic-plus
 // at 5k switches.
@@ -40,6 +44,7 @@ struct Sample {
   std::string name;
   std::size_t switches = 0;
   std::uint64_t probes = 0;
+  std::uint64_t traversals = 0;
   double wall_ms = 0.0;
   bool counts_ok = false;
 };
@@ -69,6 +74,7 @@ Sample map_fabric(const std::string& name, const topo::Topology& network,
   s.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   s.probes = result.probes.total();
+  s.traversals = net.counters().wire_traversals;
   // These fabrics have no host-free region behind a switch-bridge, so the
   // mapped core must be the whole network. Exact counts are a cheap strong
   // check at 5k switches; full isomorphism is reserved for the smallest size.
@@ -79,6 +85,30 @@ Sample map_fabric(const std::string& name, const topo::Topology& network,
     s.counts_ok = topo::isomorphic(result.map, topo::core(network));
   }
   return s;
+}
+
+double per(double value, std::uint64_t count) {
+  return count == 0 ? 0.0 : value / static_cast<double>(count);
+}
+
+/// One table row and the matching BENCH_scaling.json entries.
+void record(const Sample& s, common::Table& table,
+            bench::JsonReport& report) {
+  const double ppm = per(static_cast<double>(s.probes), s.switches);
+  const double hops_per_probe =
+      per(static_cast<double>(s.traversals), s.probes);
+  const double ns_per_hop = per(s.wall_ms * 1e6, s.traversals);
+  table.add_row({s.name, std::to_string(s.switches), std::to_string(s.probes),
+                 common::fmt(ppm, 2), common::fmt(hops_per_probe, 1),
+                 common::fmt(s.wall_ms, 1), common::fmt(ns_per_hop, 1),
+                 s.counts_ok ? "ok" : "WRONG"});
+  report.add(s.name, "switches", static_cast<double>(s.switches));
+  report.add(s.name, "probes", static_cast<double>(s.probes));
+  report.add(s.name, "probes_per_switch", ppm);
+  report.add(s.name, "traversals_per_probe", hops_per_probe);
+  report.add(s.name, "wall_ms", s.wall_ms);
+  report.add(s.name, "wall_ns_per_traversal", ns_per_hop);
+  report.add(s.name, "counts_ok", s.counts_ok ? 1 : 0);
 }
 
 }  // namespace
@@ -102,7 +132,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Megafabric scaling: probes and wall clock vs switches "
                "===\n";
   common::Table table({"fabric", "switches", "probes", "probes/m",
-                       "wall (ms)", "counts"});
+                       "hops/probe", "wall (ms)", "ns/hop", "counts"});
   bench::JsonReport report("scaling");
   bool ok = true;
 
@@ -124,12 +154,10 @@ int main(int argc, char** argv) {
         "dragonfly/" + std::to_string(network.num_switches()), network, true));
   }
 
-  const double ppm0 =
-      static_cast<double>(sweep.front().probes) /
-      static_cast<double>(sweep.front().switches);
+  const double ppm0 = per(static_cast<double>(sweep.front().probes),
+                          sweep.front().switches);
   for (const Sample& s : sweep) {
-    const double ppm =
-        static_cast<double>(s.probes) / static_cast<double>(s.switches);
+    const double ppm = per(static_cast<double>(s.probes), s.switches);
     const bool in_family = s.name.rfind("fat-tree/", 0) == 0;
     const double drift = std::abs(ppm - ppm0) / ppm0;
     if (in_family && drift > tolerance) {
@@ -142,14 +170,7 @@ int main(int argc, char** argv) {
       std::cerr << s.name << ": mapped core does not match the fabric\n";
       ok = false;
     }
-    table.add_row({s.name, std::to_string(s.switches),
-                   std::to_string(s.probes), common::fmt(ppm, 2),
-                   common::fmt(s.wall_ms, 1), s.counts_ok ? "ok" : "WRONG"});
-    report.add(s.name, "switches", static_cast<double>(s.switches));
-    report.add(s.name, "probes", static_cast<double>(s.probes));
-    report.add(s.name, "probes_per_switch", ppm);
-    report.add(s.name, "wall_ms", s.wall_ms);
-    report.add(s.name, "counts_ok", s.counts_ok ? 1 : 0);
+    record(s, table, report);
   }
 
   if (!smoke) {
@@ -158,16 +179,7 @@ int main(int argc, char** argv) {
     const Sample s = map_fabric(
         "fat-tree/" + std::to_string(network.num_switches()), network, false);
     const double wall_s = s.wall_ms / 1000.0;
-    table.add_row({s.name, std::to_string(s.switches),
-                   std::to_string(s.probes),
-                   common::fmt(static_cast<double>(s.probes) /
-                                   static_cast<double>(s.switches),
-                               2),
-                   common::fmt(s.wall_ms, 1), s.counts_ok ? "ok" : "WRONG"});
-    report.add(s.name, "switches", static_cast<double>(s.switches));
-    report.add(s.name, "probes", static_cast<double>(s.probes));
-    report.add(s.name, "wall_ms", s.wall_ms);
-    report.add(s.name, "counts_ok", s.counts_ok ? 1 : 0);
+    record(s, table, report);
     if (!s.counts_ok) {
       std::cerr << s.name << ": mapped core does not match the fabric\n";
       ok = false;

@@ -1,6 +1,7 @@
 #include "simnet/network.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "common/check.hpp"
 #include "simnet/fault_schedule.hpp"
@@ -81,7 +82,44 @@ std::uint64_t channel_key(topo::WireId wire, bool a_to_b) {
          static_cast<std::uint64_t>(a_to_b);
 }
 
+std::size_t hop_index(topo::NodeId node, topo::Port port) {
+  return static_cast<std::size_t>(node) * topo::kSwitchPorts +
+         static_cast<std::size_t>(port);
+}
+
 }  // namespace
+
+void Network::rebuild_hop_table() {
+  const topo::Topology& t = *topo_;
+  hop_table_.assign(t.node_capacity() * topo::kSwitchPorts, PortHop{});
+  for (topo::NodeId n = 0; n < t.node_capacity(); ++n) {
+    if (!t.node_alive(n)) {
+      continue;
+    }
+    const std::span<const topo::WireId> ports = t.port_wires(n);
+    for (topo::Port p = 0; static_cast<std::size_t>(p) < ports.size(); ++p) {
+      const topo::WireId w = ports[static_cast<std::size_t>(p)];
+      if (w == topo::kInvalidWire) {
+        continue;
+      }
+      const topo::Wire& wire = t.wire(w);
+      const topo::PortRef here{n, p};
+      const topo::PortRef far = wire.opposite(here);
+      hop_table_[hop_index(n, p)] = {
+          far.node,
+          w,
+          static_cast<std::uint8_t>(far.port),
+          static_cast<std::uint8_t>(t.port_count(far.node)),
+          t.is_host(far.node),
+          here == wire.a};
+    }
+  }
+  const auto channels = 2 * t.wire_capacity();
+  if (crossing_.size() < channels) {
+    crossing_.resize(channels);
+  }
+  hop_table_version_ = t.version();
+}
 
 DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
                              std::vector<topo::NodeId>* visited,
@@ -131,15 +169,16 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
   const common::SimTime flit = cost_.flit_time();
   const common::SimTime per_hop = cost_.switch_latency + flit;
 
+  // The walk reads only the hop table; a topology mutated since the last
+  // send gets it rebuilt first.
+  if (hop_table_version_ != topo_->version()) {
+    rebuild_hop_table();
+  }
+
   // Worm state. For each directed channel: the hop index at which the head
   // last crossed it (cut-through) / whether it is held (circuit). The table
   // is a flat array indexed by channel_key, epoch-stamped per message so
   // reuse costs one counter bump rather than a clear of the whole table.
-  const auto channels =
-      2 * static_cast<std::size_t>(topo_->wire_capacity());
-  if (crossing_.size() < channels) {
-    crossing_.resize(channels);
-  }
   const std::uint64_t epoch = ++crossing_epoch_;
   common::SimTime stall{};  // extra time spent waiting on our own tail
 
@@ -152,8 +191,9 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
 
   for (;;) {
     // -- traverse the wire at (node, out_port) -----------------------------
-    const auto wire_id = topo_->wire_at(node, out_port);
-    if (!wire_id) {
+    const PortHop& link = hop_table_[hop_index(node, out_port)];
+    const topo::WireId wire_id = link.wire;
+    if (wire_id == topo::kInvalidWire) {
       return finish(DeliveryStatus::kNoSuchWire, node, hop,
                     per_hop * hop + stall);
     }
@@ -161,15 +201,14 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
     // whose endpoint died) is indistinguishable from one that was never
     // installed — the head selects the port and finds nothing behind it.
     if (fault_schedule_ != nullptr &&
-        !fault_schedule_->wire_up_at(*topo_, *wire_id,
+        !fault_schedule_->wire_up_at(*topo_, wire_id,
                                      at + per_hop * hop + stall)) {
       return finish(DeliveryStatus::kNoSuchWire, node, hop,
                     per_hop * hop + stall);
     }
-    const topo::Wire& wire = topo_->wire(*wire_id);
     const topo::PortRef here{node, out_port};
-    const topo::PortRef far = wire.opposite(here);
-    const bool a_to_b = (here == wire.a);
+    const topo::PortRef far{link.far_node, link.far_port};
+    const bool a_to_b = link.a_to_b;
 
     // Foreign traffic on this channel?
     if (faults_.traffic_intensity > 0.0 &&
@@ -184,7 +223,7 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
       // destroys us only if the wait exceeds the blocked-port timeout.
       const common::SimTime arrival = at + per_hop * hop + stall;
       const common::SimTime free =
-          traffic_->free_at(*wire_id, a_to_b, arrival);
+          traffic_->free_at(wire_id, a_to_b, arrival);
       const common::SimTime wait = free - arrival;
       if (wait > cost_.blocked_port_timeout) {
         return finish(DeliveryStatus::kTrafficCollision, node, hop,
@@ -194,7 +233,7 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
     }
 
     // Self-collision per the active model.
-    const auto key = static_cast<std::size_t>(channel_key(*wire_id, a_to_b));
+    const auto key = static_cast<std::size_t>(channel_key(wire_id, a_to_b));
     ChannelCrossing& cell = crossing_[key];
     if (cell.epoch == epoch && collision_ != CollisionModel::kPacket) {
       if (collision_ == CollisionModel::kCircuit) {
@@ -223,7 +262,7 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
     cell.hop = hop;
     ++hop;
     if (hook_ != nullptr) {
-      hook_->on_hop(*wire_id, here, far);
+      hook_->on_hop(wire_id, here, far);
     }
     node = far.node;
     if (visited) {
@@ -234,7 +273,7 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
     if (next_turn == route.size()) {
       // Routing flits exhausted: the message terminates here.
       const auto latency = per_hop * hop + flit * message_flits + stall;
-      if (topo_->is_switch(node)) {
+      if (!link.far_is_host) {
         return finish(DeliveryStatus::kStrandedInNetwork, node, hop, latency);
       }
       if (inject_drop) {
@@ -245,7 +284,7 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
       }
       return finish(DeliveryStatus::kDelivered, node, hop, latency);
     }
-    if (topo_->is_host(node)) {
+    if (link.far_is_host) {
       return finish(DeliveryStatus::kHitHostTooSoon, node, hop,
                     per_hop * hop + stall);
     }
@@ -254,7 +293,7 @@ DeliveryResult Network::send(topo::NodeId src_host, const Route& route,
       bounce_switch = node;
     }
     out_port = far.port + turn;
-    if (out_port < 0 || out_port >= topo_->port_count(node)) {
+    if (out_port < 0 || out_port >= link.far_port_count) {
       return finish(DeliveryStatus::kIllegalTurn, node, hop,
                     per_hop * hop + stall);
     }

@@ -156,7 +156,10 @@ struct NetworkCounters {
 
 /// The simulator. Holds a reference to the topology (not owned); the
 /// topology may be mutated between sends (dynamic reconfiguration) but not
-/// during one.
+/// during one. send() walks a private flat copy of the wiring and rebuilds
+/// it whenever topo::Topology::version() has moved since the last build, so
+/// any mutation — including assigning another topology into the watched
+/// object — is seen by the next send.
 class Network {
  public:
   explicit Network(const topo::Topology& topo,
@@ -221,11 +224,29 @@ class Network {
   common::Rng rng_;
   NetworkCounters counters_;
 
+  /// The hop table: what send()'s walk reads instead of the topology's
+  /// checked accessors. One PortHop per (node, port), stride
+  /// topo::kSwitchPorts; dead nodes and free ports carry kInvalidWire. Each
+  /// cell also carries the far node's shape, so a hop is one read. Rebuilt
+  /// (together with crossing_'s size) when the topology's version differs
+  /// from hop_table_version_.
+  struct PortHop {
+    topo::NodeId far_node = topo::kInvalidNode;
+    topo::WireId wire = topo::kInvalidWire;
+    std::uint8_t far_port = 0;
+    std::uint8_t far_port_count = 0;
+    bool far_is_host = false;
+    bool a_to_b = false;  // leaving through the wire's `a` end
+  };
+  void rebuild_hop_table();
+  std::vector<PortHop> hop_table_;
+  std::uint64_t hop_table_version_ = ~std::uint64_t{0};
+
   /// Scratch for send()'s worm state, reused across messages so the hot
   /// path performs no per-send allocation: one slot per directed channel
   /// (2 * wire capacity), epoch-stamped so "clearing" between messages is a
-  /// single counter bump instead of a table wipe. Grown lazily because the
-  /// topology may gain wires between sends.
+  /// single counter bump instead of a table wipe. Grown with the hop table
+  /// because the topology may gain wires between sends.
   struct ChannelCrossing {
     std::uint64_t epoch = 0;
     int hop = 0;

@@ -34,10 +34,13 @@ Route extended(const Route& route, Turn turn) {
 }
 
 Route loopback_probe(const Route& prefix) {
-  Route out = prefix;
+  Route out;
+  out.reserve(2 * prefix.size() + 1);
+  out.assign(prefix.begin(), prefix.end());
   out.push_back(0);
-  const Route back = reversed(prefix);
-  out.insert(out.end(), back.begin(), back.end());
+  for (auto it = prefix.rbegin(); it != prefix.rend(); ++it) {
+    out.push_back(-*it);
+  }
   return out;
 }
 

@@ -1,13 +1,27 @@
 #include "topology/topology.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/check.hpp"
 
 namespace sanmap::topo {
 
+namespace {
+
+/// The process-wide source of Topology::version() stamps. Per-object
+/// counters would let two distinct topologies share a stamp, so assigning
+/// one into the other would go unseen by a cache keyed on the stamp.
+std::uint64_t next_version() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
+}
+
+}  // namespace
+
 NodeId Topology::add_node(NodeKind node_kind, std::string node_name) {
   const auto id = static_cast<NodeId>(nodes_.size());
+  version_ = next_version();
   if (node_name.empty()) {
     // Built by appending to a fresh string: GCC 12 at -O3 misreads both
     // `"h" + std::to_string(id)` and assigning a literal to the parameter
@@ -70,6 +84,7 @@ WireId Topology::connect(NodeId a, Port pa, NodeId b, Port pb) {
   nodes_[a].ports[static_cast<std::size_t>(pa)] = id;
   nodes_[b].ports[static_cast<std::size_t>(pb)] = id;
   ++num_wires_;
+  version_ = next_version();
   return id;
 }
 
@@ -103,6 +118,7 @@ void Topology::disconnect(WireId w) {
       kInvalidWire;
   wires_[w].alive = false;
   --num_wires_;
+  version_ = next_version();
 }
 
 void Topology::remove_node(NodeId n) {
@@ -113,6 +129,7 @@ void Topology::remove_node(NodeId n) {
     }
   }
   nodes_[n].alive = false;
+  version_ = next_version();
   if (nodes_[n].kind == NodeKind::kHost) {
     host_by_name_.erase(nodes_[n].name);
     --num_hosts_;

@@ -3,6 +3,7 @@
 // because the paper's motivating scenario is networks that change over time.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -117,6 +118,14 @@ class Topology {
   /// topo::isomorphic.)
   [[nodiscard]] bool structurally_equal(const Topology& other) const;
 
+  /// Stamp of the last mutation (add_host, add_switch, connect, disconnect,
+  /// remove_node), drawn from one process-wide counter; 0 for a topology
+  /// never mutated. Equal stamps imply equal contents, also across objects:
+  /// a copy shares its source's stamp until either is mutated, so assigning
+  /// a different topology into an object changes its stamp. Consumers that
+  /// cache state derived from a topology rebuild when the stamp moves.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
  private:
   struct NodeRec {
     NodeKind kind = NodeKind::kSwitch;
@@ -141,6 +150,7 @@ class Topology {
   std::size_t num_hosts_ = 0;
   std::size_t num_switches_ = 0;
   std::size_t num_wires_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace sanmap::topo

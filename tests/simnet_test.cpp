@@ -1,9 +1,13 @@
 // Tests for the wormhole network simulator: §2.2 route semantics, the four
-// failure modes, both §2.3.1 collision models, cost accounting, and fault
-// injection.
+// failure modes, both §2.3.1 collision models, cost accounting, fault
+// injection, topology changes between sends, and send() against an
+// independent reference walk.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "simnet/network.hpp"
 #include "topology/generators.hpp"
 
@@ -179,6 +183,156 @@ TEST(Network, OutOfRangeTurnRejectedUpFront) {
   Line line;
   Network net(line.topo);
   EXPECT_THROW(net.send(line.h0, Route{9}), common::CheckFailure);
+}
+
+// ------------------------------------------- topology changes between sends --
+//
+// send() walks a hop table derived from the topology and rebuilt whenever
+// Topology::version() moves. Each case keeps one Network watching one
+// Topology across sends, so a stale table would answer with the old wiring.
+
+TEST(TopologyChange, DisconnectOnPathIsNoSuchWire) {
+  Line line;
+  Network net(line.topo);
+  ASSERT_TRUE(net.send(line.h0, Route{3, 3}).delivered());
+  line.topo.disconnect(*line.topo.wire_at(line.s0, 5));
+  const auto r = net.send(line.h0, Route{3, 3});
+  EXPECT_EQ(r.status, DeliveryStatus::kNoSuchWire);
+  EXPECT_EQ(r.destination, line.s0);
+  EXPECT_EQ(r.hops, 1);
+}
+
+TEST(TopologyChange, ReconnectOnAnotherPortDeliversAlongNewPath) {
+  Line line;
+  Network net(line.topo);
+  ASSERT_TRUE(net.send(line.h0, Route{3, 3}).delivered());
+  line.topo.disconnect(*line.topo.wire_at(line.s0, 5));
+  line.topo.connect(line.s0, 6, line.s1, 1);
+  EXPECT_EQ(net.send(line.h0, Route{3, 3}).status,
+            DeliveryStatus::kNoSuchWire);
+  // Enter s0 at port 2, +4 -> port 6 -> s1 (enter 1), +3 -> port 4 -> h1.
+  std::vector<NodeId> visited;
+  const auto r = net.send(line.h0, Route{4, 3}, &visited);
+  EXPECT_TRUE(r.delivered());
+  EXPECT_EQ(r.destination, line.h1);
+  EXPECT_EQ(visited,
+            (std::vector<NodeId>{line.h0, line.s0, line.s1, line.h1}));
+}
+
+TEST(TopologyChange, RemovedIntermediateSwitchCutsThePath) {
+  Line line;
+  Network net(line.topo);
+  ASSERT_TRUE(net.send(line.h0, Route{3, 3}).delivered());
+  line.topo.remove_node(line.s1);
+  const auto r = net.send(line.h0, Route{3, 3});
+  EXPECT_EQ(r.status, DeliveryStatus::kNoSuchWire);
+  EXPECT_EQ(r.destination, line.s0);
+  EXPECT_EQ(r.hops, 1);
+}
+
+TEST(TopologyChange, GrowsPastTheBuiltTable) {
+  Line line;
+  Network net(line.topo);
+  ASSERT_TRUE(net.send(line.h0, Route{3, 3}).delivered());
+  // s1.6 - s2.0 ; s2.3 - h2.0: two nodes beyond the table built above.
+  const NodeId s2 = line.topo.add_switch();
+  const NodeId h2 = line.topo.add_host("h2");
+  line.topo.connect(line.s1, 6, s2, 0);
+  line.topo.connect(s2, 3, h2, 0);
+  const auto r = net.send(line.h0, Route{3, 5, 3});
+  EXPECT_TRUE(r.delivered());
+  EXPECT_EQ(r.destination, h2);
+  EXPECT_EQ(r.hops, 4);
+  // Sending from the new host walks the new rows too.
+  const auto back = net.send(h2, Route{-3, -5, -3});
+  EXPECT_TRUE(back.delivered());
+  EXPECT_EQ(back.destination, line.h0);
+}
+
+TEST(TopologyChange, CopyAssignedTopologyIsSeen) {
+  Line line;
+  Network net(line.topo);
+  ASSERT_TRUE(net.send(line.h0, Route{3, 3}).delivered());
+  // The same node ids, but h1 hangs off s1's port 7 instead of port 4.
+  Topology other;
+  const NodeId h0 = other.add_host("h0");
+  const NodeId s0 = other.add_switch();
+  const NodeId s1 = other.add_switch();
+  const NodeId h1 = other.add_host("h1");
+  other.connect(h0, 0, s0, 2);
+  other.connect(s0, 5, s1, 1);
+  other.connect(s1, 7, h1, 0);
+  line.topo = other;
+  const auto stale = net.send(line.h0, Route{3, 3});
+  EXPECT_EQ(stale.status, DeliveryStatus::kNoSuchWire);
+  EXPECT_EQ(stale.destination, line.s1);
+  const auto r = net.send(line.h0, Route{3, 6});
+  EXPECT_TRUE(r.delivered());
+  EXPECT_EQ(r.destination, line.h1);
+}
+
+/// Records every on_hop call.
+class HopRecorder : public InvariantHook {
+ public:
+  struct Hop {
+    topo::WireId wire;
+    topo::PortRef from;
+    topo::PortRef to;
+  };
+  std::vector<Hop> hops;
+
+  void on_message_begin(NodeId, const Route&, common::SimTime) override {
+    hops.clear();
+  }
+  void on_hop(topo::WireId wire, topo::PortRef from,
+              topo::PortRef to) override {
+    hops.push_back({wire, from, to});
+  }
+  void on_message_end(const DeliveryResult&,
+                      const NetworkCounters&) override {}
+};
+
+TEST(TopologyChange, SelfLoopResolvesBothEnds) {
+  // h.0 - s.0 ; loopback cable s.3 - s.6.
+  Topology t;
+  const NodeId h = t.add_host("h");
+  const NodeId s = t.add_switch();
+  t.connect(h, 0, s, 0);
+  const topo::WireId loop = t.connect(s, 3, s, 6);
+  Network net(t, CollisionModel::kCircuit);
+  HopRecorder recorder;
+  net.attach_hook(&recorder);
+
+  // Out of port 3, in at port 6, -6 -> port 0 -> h.
+  ASSERT_TRUE(net.send(h, Route{3, -6}).delivered());
+  ASSERT_EQ(recorder.hops.size(), 3u);
+  EXPECT_EQ(recorder.hops[1].wire, loop);
+  EXPECT_EQ(recorder.hops[1].from, (topo::PortRef{s, 3}));
+  EXPECT_EQ(recorder.hops[1].to, (topo::PortRef{s, 6}));
+
+  // Out of port 6, in at port 3, -3 -> port 0 -> h.
+  ASSERT_TRUE(net.send(h, Route{6, -3}).delivered());
+  ASSERT_EQ(recorder.hops.size(), 3u);
+  EXPECT_EQ(recorder.hops[1].from, (topo::PortRef{s, 6}));
+  EXPECT_EQ(recorder.hops[1].to, (topo::PortRef{s, 3}));
+
+  // Across the cable one way, then back the other (turn 0 bounces out of
+  // the entry port 6): two directed channels, so the circuit holds both.
+  const auto both_ways = net.send(h, Route{3, 0, -3});
+  EXPECT_TRUE(both_ways.delivered());
+  EXPECT_EQ(both_ways.hops, 4);
+
+  // Across the cable twice in the same direction: the circuit model
+  // refuses the second use of the held channel.
+  const auto twice = net.send(h, Route{3, -3, -6});
+  EXPECT_EQ(twice.status, DeliveryStatus::kSelfCollision);
+  EXPECT_EQ(twice.destination, s);
+  EXPECT_EQ(twice.hops, 2);
+  // After a change elsewhere the rebuilt table still resolves the cable.
+  t.add_switch();
+  EXPECT_EQ(net.send(h, Route{3, -3, -6}).status,
+            DeliveryStatus::kSelfCollision);
+  net.attach_hook(nullptr);
 }
 
 // ------------------------------------------------------ collision models ----
@@ -360,6 +514,90 @@ TEST(Timing, SubMillisecondProbeLatency) {
   Network net(line.topo);
   const auto r = net.send(line.h0, Route{3, 3});
   EXPECT_LT(r.latency, common::SimTime::from_us(100.0));
+}
+
+// ------------------------------------------ send against a reference walk --
+
+struct Walk {
+  DeliveryStatus status = DeliveryStatus::kDelivered;
+  NodeId destination = topo::kInvalidNode;
+  int hops = 0;
+  std::vector<NodeId> visited;
+};
+
+/// §2.2 on the topology's own accessors, with no worm state (kPacket).
+Walk reference_walk(const Topology& t, NodeId src, const Route& route) {
+  Walk w;
+  w.visited.push_back(src);
+  NodeId node = src;
+  topo::Port out = 0;
+  std::size_t next = 0;
+  const auto end = [&](DeliveryStatus status) {
+    w.status = status;
+    w.destination = node;
+    return w;
+  };
+  for (;;) {
+    const auto far = t.peer(node, out);
+    if (!far) {
+      return end(DeliveryStatus::kNoSuchWire);
+    }
+    node = far->node;
+    ++w.hops;
+    w.visited.push_back(node);
+    if (next == route.size()) {
+      return end(t.is_host(node) ? DeliveryStatus::kDelivered
+                                 : DeliveryStatus::kStrandedInNetwork);
+    }
+    if (t.is_host(node)) {
+      return end(DeliveryStatus::kHitHostTooSoon);
+    }
+    out = far->port + route[next++];
+    if (out < 0 || out >= t.port_count(node)) {
+      return end(DeliveryStatus::kIllegalTurn);
+    }
+  }
+}
+
+TEST(ReferenceWalk, SendAgreesOnRandomRoutes) {
+  common::Rng rng(16);
+  std::vector<Topology> fabrics;
+  topo::MegaFatTreeOptions tree;
+  tree.leaf_switches = 16;
+  fabrics.push_back(topo::mega_fat_tree(tree));
+  topo::DragonflyishOptions dragonfly;
+  dragonfly.groups = 4;
+  common::Rng fabric_rng(3);
+  fabrics.push_back(topo::dragonfly_ish(dragonfly, fabric_rng));
+  fabrics.push_back(topo::now_subcluster(topo::Subcluster::kC, "C"));
+
+  std::array<int, kNumDeliveryStatuses> seen{};
+  for (const Topology& t : fabrics) {
+    Network net(t, CollisionModel::kPacket);
+    const std::vector<NodeId> hosts = t.hosts();
+    std::vector<NodeId> visited;
+    for (int trial = 0; trial < 4000; ++trial) {
+      const NodeId src = hosts[rng.below(hosts.size())];
+      Route route(rng.below(13));
+      for (Turn& turn : route) {
+        turn = static_cast<Turn>(rng.range(kMinTurn, kMaxTurn));
+      }
+      const Walk want = reference_walk(t, src, route);
+      const DeliveryResult got = net.send(src, route, &visited);
+      ASSERT_EQ(got.status, want.status) << to_string(route);
+      ASSERT_EQ(got.destination, want.destination) << to_string(route);
+      ASSERT_EQ(got.hops, want.hops) << to_string(route);
+      ASSERT_EQ(visited, want.visited) << to_string(route);
+      ++seen[static_cast<std::size_t>(got.status)];
+    }
+  }
+  // The routes exercise delivery and all four failure modes of §2.2.
+  for (const DeliveryStatus status :
+       {DeliveryStatus::kDelivered, DeliveryStatus::kIllegalTurn,
+        DeliveryStatus::kNoSuchWire, DeliveryStatus::kHitHostTooSoon,
+        DeliveryStatus::kStrandedInNetwork}) {
+    EXPECT_GT(seen[static_cast<std::size_t>(status)], 0) << to_string(status);
+  }
 }
 
 // --------------------------------------------------------------- counters --
