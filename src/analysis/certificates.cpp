@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <limits>
-#include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "routing/updown.hpp"
@@ -53,15 +54,25 @@ routing::Channel channel_from_id(std::size_t id) {
 }
 
 /// The deduplicated dependency edge list (by dense channel id) that both the
-/// certificate builder and the checker derive from the same path inputs.
-std::vector<std::set<std::size_t>> dependency_edges(
+/// certificate builder and the checker derive from the same path inputs:
+/// per channel, its successors in ascending order. A channel has at most a
+/// port's worth of successors, so a linear find deduplicates on insert.
+std::vector<std::vector<std::size_t>> dependency_edges(
     const std::vector<std::vector<routing::Channel>>& paths,
     std::size_t num_channels) {
-  std::vector<std::set<std::size_t>> deps(num_channels);
+  std::vector<std::vector<std::size_t>> deps(num_channels);
   for (const auto& path : paths) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      deps[channel_id(path[i])].insert(channel_id(path[i + 1]));
+      auto& successors = deps[channel_id(path[i])];
+      const std::size_t to = channel_id(path[i + 1]);
+      if (std::find(successors.begin(), successors.end(), to) ==
+          successors.end()) {
+        successors.push_back(to);
+      }
     }
+  }
+  for (auto& successors : deps) {
+    std::sort(successors.begin(), successors.end());
   }
   return deps;
 }
@@ -145,14 +156,22 @@ bool check_legality(const topo::Topology& topo,
     ok = false;
   }
   bool claims_all_legal = true;
+  // A built certificate lists routes in the table's key order, so the next
+  // map entry is tried before a lookup.
+  auto next = routes.routes.begin();
   for (const RouteLegality& entry : cert.routes) {
     claims_all_legal = claims_all_legal && entry.legal;
-    const auto it = routes.routes.find({entry.src, entry.dst});
+    const std::pair<topo::NodeId, topo::NodeId> key{entry.src, entry.dst};
+    auto it = next;
+    if (it == routes.routes.end() || it->first != key) {
+      it = routes.routes.find(key);
+    }
     if (it == routes.routes.end()) {
       explain(why, "certificate names a route absent from the table");
       ok = false;
       continue;
     }
+    next = std::next(it);
     const RouteLegality derived =
         classify_route(topo, cert.labels, entry.src, entry.dst, it->second);
     if (derived.legal != entry.legal ||
@@ -301,20 +320,20 @@ bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why) {
   // Re-derive the dependency edges; the checker trusts only the paths.
-  std::set<std::pair<std::size_t, std::size_t>> edges;
   std::size_t max_id = 0;
   for (const auto& path : paths) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const std::size_t from = channel_id(path[i]);
-      const std::size_t to = channel_id(path[i + 1]);
-      edges.insert({from, to});
-      max_id = std::max({max_id, from, to});
+      max_id = std::max({max_id, channel_id(path[i]), channel_id(path[i + 1])});
     }
   }
-  if (cert.dependencies != edges.size()) {
+  const auto deps = dependency_edges(paths, max_id + 1);
+  std::size_t edges = 0;
+  for (const auto& successors : deps) {
+    edges += successors.size();
+  }
+  if (cert.dependencies != edges) {
     explain(why, "certificate counts " + std::to_string(cert.dependencies) +
-                     " dependencies, paths derive " +
-                     std::to_string(edges.size()));
+                     " dependencies, paths derive " + std::to_string(edges));
     return false;
   }
 
@@ -332,20 +351,22 @@ bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
         position[id] = i;
       }
     }
-    for (const auto& [from, to] : edges) {
-      const std::size_t pf = position[from];
-      const std::size_t pt = position[to];
-      if (pf == std::numeric_limits<std::size_t>::max() ||
-          pt == std::numeric_limits<std::size_t>::max()) {
-        explain(why, "a dependent channel is missing from the order");
-        return false;
-      }
-      if (pf >= pt) {
-        explain(why,
-                "dependency " + to_string(channel_from_id(from)) + " -> " +
-                    to_string(channel_from_id(to)) +
-                    " points backward in the order");
-        return false;
+    for (std::size_t from = 0; from < deps.size(); ++from) {
+      for (const std::size_t to : deps[from]) {
+        const std::size_t pf = position[from];
+        const std::size_t pt = position[to];
+        if (pf == std::numeric_limits<std::size_t>::max() ||
+            pt == std::numeric_limits<std::size_t>::max()) {
+          explain(why, "a dependent channel is missing from the order");
+          return false;
+        }
+        if (pf >= pt) {
+          explain(why,
+                  "dependency " + to_string(channel_from_id(from)) + " -> " +
+                      to_string(channel_from_id(to)) +
+                      " points backward in the order");
+          return false;
+        }
       }
     }
     return true;
@@ -359,7 +380,8 @@ bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
     const std::size_t from = channel_id(cert.cycle[i]);
     const std::size_t to =
         channel_id(cert.cycle[(i + 1) % cert.cycle.size()]);
-    if (edges.find({from, to}) == edges.end()) {
+    if (from >= deps.size() ||
+        !std::binary_search(deps[from].begin(), deps[from].end(), to)) {
       explain(why, "counterexample edge " +
                        to_string(channel_from_id(from)) + " -> " +
                        to_string(channel_from_id(to)) +

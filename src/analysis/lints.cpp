@@ -254,19 +254,24 @@ bool lint_route_structure_one(
     const std::pair<topo::NodeId, topo::NodeId>& key,
     const routing::HostRoute& route, DiagnosticReport& report) {
   const std::size_t before = report.errors();
-  std::ostringstream where;
   const auto name_of = [&](topo::NodeId n) {
     return n < topo.node_capacity() && topo.node_alive(n)
                ? topo.name(n)
                : "node " + std::to_string(n);
   };
-  where << "route " << name_of(key.first) << "->" << name_of(key.second);
-  const std::string loc = where.str();
+  // Built only when there is a finding to report: a sound table never pays
+  // for the strings.
+  const auto loc = [&] {
+    return "route " + name_of(key.first) + "->" + name_of(key.second);
+  };
+  const auto hop_loc = [&](std::size_t i) {
+    return loc() + " hop " + std::to_string(i);
+  };
 
   for (const topo::NodeId endpoint : {key.first, key.second}) {
     if (endpoint >= topo.node_capacity() || !topo.node_alive(endpoint) ||
         !topo.is_host(endpoint)) {
-      report.add("SL102", loc,
+      report.add("SL102", loc(),
                  "endpoint " + std::to_string(endpoint) +
                      " is not a live host",
                  "recompute routes on the current map");
@@ -274,60 +279,63 @@ bool lint_route_structure_one(
   }
   if (route.nodes.size() != route.wires.size() + 1 || route.nodes.empty() ||
       route.nodes.front() != key.first || route.nodes.back() != key.second) {
-    report.add("SL103", loc,
+    report.add("SL103", loc(),
                "path shape is inconsistent (" +
                    std::to_string(route.nodes.size()) + " nodes, " +
                    std::to_string(route.wires.size()) + " wires)",
                "");
     return report.errors() == before;  // the walk below assumes the shape
   }
-  bool walk_ok = true;
-  for (std::size_t i = 0; i < route.wires.size() && walk_ok; ++i) {
+  for (std::size_t i = 0; i < route.wires.size(); ++i) {
     const topo::WireId w = route.wires[i];
     if (w >= topo.wire_capacity() || !topo.wire_alive(w)) {
-      report.add("SL103", loc + " hop " + std::to_string(i),
+      report.add("SL103", hop_loc(i),
                  "wire " + std::to_string(w) + " is dead or nonexistent",
                  "recompute routes on the current map");
-      walk_ok = false;
-      break;
+      return report.errors() == before;
     }
     const topo::Wire& wire = topo.wire(w);
     if (wire.a.node == wire.b.node) {
-      report.add("SL104", loc + " hop " + std::to_string(i),
+      report.add("SL104", hop_loc(i),
                  "wire " + std::to_string(w) + " is a self-loop cable",
                  "no valid route uses a loopback cable");
-      walk_ok = false;
-      break;
+      return report.errors() == before;
     }
     const topo::NodeId from = route.nodes[i];
     const topo::NodeId to = route.nodes[i + 1];
     const bool connects = (wire.a.node == from && wire.b.node == to) ||
                           (wire.b.node == from && wire.a.node == to);
     if (!connects || !topo.node_alive(from) || !topo.node_alive(to)) {
-      report.add("SL103", loc + " hop " + std::to_string(i),
+      report.add("SL103", hop_loc(i),
                  "wire " + std::to_string(w) + " does not connect " +
                      name_of(from) + " to " + name_of(to),
                  "recompute routes on the current map");
-      walk_ok = false;
+      return report.errors() == before;
     }
-  }
-  if (!walk_ok) {
-    return report.errors() == before;
   }
   // The turn word must reproduce the path (sec 2.2 relative addressing):
   // the NIC-facing table and the hop path must describe the same route.
-  simnet::Route expected;
-  for (std::size_t i = 1; i < route.wires.size(); ++i) {
+  // Compared in place; the expected word is spelled out only on a mismatch.
+  const auto turn_at = [&](std::size_t i) {
     const topo::Wire& in_wire = topo.wire(route.wires[i - 1]);
     const topo::Wire& out_wire = topo.wire(route.wires[i]);
     const topo::Port in_port = in_wire.opposite(route.nodes[i - 1]).port;
     const topo::Port out_port = out_wire.a.node == route.nodes[i]
                                     ? out_wire.a.port
                                     : out_wire.b.port;
-    expected.push_back(out_port - in_port);
+    return static_cast<simnet::Turn>(out_port - in_port);
+  };
+  const std::size_t turns = route.wires.empty() ? 0 : route.wires.size() - 1;
+  bool matches = route.turns.size() == turns;
+  for (std::size_t i = 1; matches && i < route.wires.size(); ++i) {
+    matches = route.turns[i - 1] == turn_at(i);
   }
-  if (expected != route.turns) {
-    report.add("SL105", loc,
+  if (!matches) {
+    simnet::Route expected;
+    for (std::size_t i = 1; i < route.wires.size(); ++i) {
+      expected.push_back(turn_at(i));
+    }
+    report.add("SL105", loc(),
                "turn word " + simnet::to_string(route.turns) +
                    " does not reproduce the hop path (expected " +
                    simnet::to_string(expected) + ")",
@@ -352,12 +360,20 @@ void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
                         const LintOptions& options,
                         DiagnosticReport& report) {
-  // SL402: every ordered pair of live hosts must have a route.
+  // SL402: every ordered pair of live hosts must have a route. Host pairs
+  // ascend in key order, so one walk over the map finds them all.
   const auto hosts = topo.hosts();
+  auto next = routes.routes.begin();
   for (const topo::NodeId src : hosts) {
     for (const topo::NodeId dst : hosts) {
-      if (src != dst &&
-          routes.routes.find({src, dst}) == routes.routes.end()) {
+      if (src == dst) {
+        continue;
+      }
+      const std::pair<topo::NodeId, topo::NodeId> key{src, dst};
+      while (next != routes.routes.end() && next->first < key) {
+        ++next;
+      }
+      if (next == routes.routes.end() || next->first != key) {
         report.add("SL402",
                    "route " + topo.name(src) + "->" + topo.name(dst),
                    "no route for a live host pair",

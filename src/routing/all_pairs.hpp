@@ -33,13 +33,26 @@ struct AllPairs {
         dist[i * n + j] = 1;
       }
     }
+    // Round k only relaxes i -> k -> j. Row k itself cannot change in
+    // round k (dist[k][k] is 0), and a column j that k cannot reach never
+    // improves, so each round visits k's reachable columns only: the same
+    // updates in the same order, at a fraction of n^3 on the sparse up and
+    // down digraphs.
+    std::vector<std::size_t> reach;
+    reach.reserve(n);
     for (std::size_t k = 0; k < n; ++k) {
+      reach.clear();
+      for (std::size_t j = 0; j < n; ++j) {
+        if (dist[k * n + j] != kUnreachable) {
+          reach.push_back(j);
+        }
+      }
       for (std::size_t i = 0; i < n; ++i) {
         const int dik = dist[i * n + k];
-        if (dik == kUnreachable) {
+        if (dik == kUnreachable || i == k) {
           continue;
         }
-        for (std::size_t j = 0; j < n; ++j) {
+        for (const std::size_t j : reach) {
           if (dik + dist[k * n + j] < dist[i * n + j]) {
             dist[i * n + j] = dik + dist[k * n + j];
             via[i * n + j] = static_cast<int>(k);

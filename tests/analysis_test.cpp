@@ -16,13 +16,20 @@
 //    while genuine parallel-cable skew fires.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/certificates.hpp"
 #include "analysis/diagnostics.hpp"
 #include "analysis/lints.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
@@ -280,6 +287,350 @@ TEST(DeadlockCertificate, AgreesWithBothDynamicDetectorsOnRandomFabrics) {
   }
 }
 
+// A copy of the std::set-based deadlock certificate builder and
+// checker the analyzer shipped before they moved to per-channel vectors.
+// The differential test below holds the production pair to it.
+namespace reference {
+
+std::size_t channel_id(const routing::Channel& c) {
+  return static_cast<std::size_t>(c.wire) * 2 +
+         static_cast<std::size_t>(c.a_to_b);
+}
+
+routing::Channel channel_from_id(std::size_t id) {
+  return routing::Channel{static_cast<topo::WireId>(id / 2), (id % 2) != 0};
+}
+
+void explain(std::vector<std::string>* why, const std::string& line) {
+  if (why != nullptr) {
+    why->push_back(line);
+  }
+}
+
+std::vector<std::set<std::size_t>> dependency_edges(
+    const std::vector<std::vector<routing::Channel>>& paths,
+    std::size_t num_channels) {
+  std::vector<std::set<std::size_t>> deps(num_channels);
+  for (const auto& path : paths) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      deps[channel_id(path[i])].insert(channel_id(path[i + 1]));
+    }
+  }
+  return deps;
+}
+
+analysis::DeadlockCertificate build(
+    const topo::Topology& topo,
+    const std::vector<std::vector<routing::Channel>>& paths) {
+  const std::size_t num_channels = topo.wire_capacity() * 2;
+  const auto deps = dependency_edges(paths, num_channels);
+
+  analysis::DeadlockCertificate cert;
+  cert.channels = num_channels;
+  std::vector<std::size_t> in_degree(num_channels, 0);
+  std::vector<bool> participates(num_channels, false);
+  for (std::size_t from = 0; from < num_channels; ++from) {
+    for (const std::size_t to : deps[from]) {
+      ++in_degree[to];
+      ++cert.dependencies;
+      participates[from] = true;
+      participates[to] = true;
+    }
+  }
+
+  // Kahn elimination in ascending-id order (deterministic certificates).
+  std::deque<std::size_t> ready;
+  for (std::size_t c = 0; c < num_channels; ++c) {
+    if (participates[c] && in_degree[c] == 0) {
+      ready.push_back(c);
+    }
+  }
+  std::vector<bool> eliminated(num_channels, false);
+  std::size_t remaining = 0;
+  for (std::size_t c = 0; c < num_channels; ++c) {
+    remaining += participates[c] ? 1u : 0u;
+  }
+  while (!ready.empty()) {
+    const std::size_t c = ready.front();
+    ready.pop_front();
+    eliminated[c] = true;
+    --remaining;
+    cert.topological_order.push_back(channel_from_id(c));
+    for (const std::size_t to : deps[c]) {
+      if (--in_degree[to] == 0) {
+        ready.push_back(to);
+      }
+    }
+  }
+  if (remaining == 0) {
+    cert.deadlock_free = true;
+    return cert;
+  }
+
+  // A cycle survives elimination. The residual set also holds "tails" —
+  // channels downstream of a cycle with no residual successor of their own
+  // (Kahn never freed them, but they cannot sit on a cycle). Peel them by
+  // reverse-Kahn on residual out-degree so the walk below always has a
+  // successor to follow.
+  cert.deadlock_free = false;
+  cert.topological_order.clear();
+  {
+    std::vector<std::size_t> out_degree(num_channels, 0);
+    std::vector<std::vector<std::size_t>> preds(num_channels);
+    for (std::size_t from = 0; from < num_channels; ++from) {
+      if (eliminated[from] || !participates[from]) {
+        continue;
+      }
+      for (const std::size_t to : deps[from]) {
+        if (!eliminated[to]) {
+          ++out_degree[from];
+          preds[to].push_back(from);
+        }
+      }
+    }
+    std::deque<std::size_t> dead_ends;
+    for (std::size_t c = 0; c < num_channels; ++c) {
+      if (participates[c] && !eliminated[c] && out_degree[c] == 0) {
+        dead_ends.push_back(c);
+      }
+    }
+    while (!dead_ends.empty()) {
+      const std::size_t c = dead_ends.front();
+      dead_ends.pop_front();
+      eliminated[c] = true;
+      for (const std::size_t from : preds[c]) {
+        if (!eliminated[from] && --out_degree[from] == 0) {
+          dead_ends.push_back(from);
+        }
+      }
+    }
+  }
+  std::size_t start = 0;
+  while (start < num_channels && (!participates[start] || eliminated[start])) {
+    ++start;
+  }
+  SANMAP_CHECK_MSG(start < num_channels, "cyclic graph peeled to nothing");
+  // Walk successors inside the residual set until a channel repeats; the
+  // walk from the repeat point is the cycle.
+  std::vector<std::size_t> walk;
+  std::vector<int> seen_at(num_channels, -1);
+  std::size_t at = start;
+  while (seen_at[at] == -1) {
+    seen_at[at] = static_cast<int>(walk.size());
+    walk.push_back(at);
+    std::size_t next = num_channels;
+    for (const std::size_t to : deps[at]) {
+      if (!eliminated[to]) {
+        next = to;
+        break;
+      }
+    }
+    SANMAP_CHECK_MSG(next < num_channels,
+                     "residual channel with no residual successor");
+    at = next;
+  }
+  const auto cycle_start = static_cast<std::size_t>(seen_at[at]);
+  for (std::size_t i = cycle_start; i < walk.size(); ++i) {
+    cert.cycle.push_back(channel_from_id(walk[i]));
+  }
+  return cert;
+}
+
+bool check(const std::vector<std::vector<routing::Channel>>& paths,
+           const analysis::DeadlockCertificate& cert,
+           std::vector<std::string>* why) {
+  // Re-derive the dependency edges; the checker trusts only the paths.
+  std::set<std::pair<std::size_t, std::size_t>> edges;
+  std::size_t max_id = 0;
+  for (const auto& path : paths) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      const std::size_t from = channel_id(path[i]);
+      const std::size_t to = channel_id(path[i + 1]);
+      edges.insert({from, to});
+      max_id = std::max({max_id, from, to});
+    }
+  }
+  if (cert.dependencies != edges.size()) {
+    explain(why, "certificate counts " + std::to_string(cert.dependencies) +
+                     " dependencies, paths derive " +
+                     std::to_string(edges.size()));
+    return false;
+  }
+
+  if (cert.deadlock_free) {
+    std::vector<std::size_t> position(max_id + 1,
+                                      std::numeric_limits<std::size_t>::max());
+    for (std::size_t i = 0; i < cert.topological_order.size(); ++i) {
+      const std::size_t id = channel_id(cert.topological_order[i]);
+      if (id <= max_id && position[id] !=
+                              std::numeric_limits<std::size_t>::max()) {
+        explain(why, "channel repeats in the topological order");
+        return false;
+      }
+      if (id <= max_id) {
+        position[id] = i;
+      }
+    }
+    for (const auto& [from, to] : edges) {
+      const std::size_t pf = position[from];
+      const std::size_t pt = position[to];
+      if (pf == std::numeric_limits<std::size_t>::max() ||
+          pt == std::numeric_limits<std::size_t>::max()) {
+        explain(why, "a dependent channel is missing from the order");
+        return false;
+      }
+      if (pf >= pt) {
+        explain(why, "dependency " +
+                         analysis::to_string(channel_from_id(from)) + " -> " +
+                         analysis::to_string(channel_from_id(to)) +
+                         " points backward in the order");
+        return false;
+      }
+    }
+    return true;
+  }
+
+  if (cert.cycle.empty()) {
+    explain(why, "cyclic verdict carries no counterexample");
+    return false;
+  }
+  for (std::size_t i = 0; i < cert.cycle.size(); ++i) {
+    const std::size_t from = channel_id(cert.cycle[i]);
+    const std::size_t to =
+        channel_id(cert.cycle[(i + 1) % cert.cycle.size()]);
+    if (edges.find({from, to}) == edges.end()) {
+      explain(why, "counterexample edge " +
+                       analysis::to_string(channel_from_id(from)) + " -> " +
+                       analysis::to_string(channel_from_id(to)) +
+                       " is not a real dependency");
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace reference
+
+/// Random path sets over `t`'s channels: the UP*/DOWN* table's own paths,
+/// the same with an injected down-to-up detour, and random channel walks
+/// (mostly cyclic).
+std::vector<std::vector<std::vector<routing::Channel>>> random_path_sets(
+    const topo::Topology& t, std::uint64_t seed, common::Rng& rng) {
+  std::vector<std::vector<std::vector<routing::Channel>>> sets;
+  auto routes = routing::compute_updown_routes(t, {}, seed);
+  sets.push_back(routing::route_channel_paths(t, routes));
+  if (!analysis::inject_down_up_turn(t, routes).empty()) {
+    sets.push_back(routing::route_channel_paths(t, routes));
+  }
+  const auto wires = t.wires();
+  std::vector<std::vector<routing::Channel>> walks;
+  const std::size_t count = 1 + rng.below(12);
+  for (std::size_t p = 0; p < count; ++p) {
+    std::vector<routing::Channel> walk;
+    const std::size_t length = rng.below(6);
+    for (std::size_t i = 0; i < length; ++i) {
+      walk.push_back(routing::Channel{rng.pick(wires), rng.below(2) == 1});
+    }
+    walks.push_back(std::move(walk));
+  }
+  sets.push_back(std::move(walks));
+  return sets;
+}
+
+/// Certificates a checker must judge exactly as the reference does: the
+/// honest one and a spread of tampered ones.
+std::vector<analysis::DeadlockCertificate> mutations(
+    const analysis::DeadlockCertificate& cert) {
+  std::vector<analysis::DeadlockCertificate> out;
+  auto m = cert;
+  m.deadlock_free = !m.deadlock_free;
+  out.push_back(m);
+  m = cert;
+  ++m.dependencies;
+  out.push_back(m);
+  if (cert.dependencies > 0) {
+    m = cert;
+    --m.dependencies;
+    out.push_back(m);
+  }
+  auto& order = cert.topological_order;
+  if (order.size() >= 2) {
+    m = cert;
+    std::swap(m.topological_order.front(), m.topological_order.back());
+    out.push_back(m);
+    m = cert;
+    m.topological_order.pop_back();
+    out.push_back(m);
+    m = cert;
+    m.topological_order.push_back(order.front());
+    out.push_back(m);
+    m = cert;
+    std::reverse(m.topological_order.begin(), m.topological_order.end());
+    out.push_back(m);
+  }
+  m = cert;
+  m.topological_order.push_back(routing::Channel{100000, true});
+  out.push_back(m);
+  if (!cert.cycle.empty()) {
+    m = cert;
+    std::reverse(m.cycle.begin(), m.cycle.end());
+    out.push_back(m);
+    m = cert;
+    m.cycle.pop_back();
+    out.push_back(m);
+    m = cert;
+    m.cycle.front() = routing::Channel{100000, false};
+    out.push_back(m);
+    m = cert;
+    m.cycle.clear();
+    out.push_back(m);
+  }
+  return out;
+}
+
+TEST(DeadlockCertificate, MatchesTheSetBasedReferenceOnRandomPathSets) {
+  std::size_t cyclic = 0;
+  std::size_t acyclic = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    common::Rng rng(seed);
+    const int switches = 3 + static_cast<int>(rng.below(8));
+    const int hosts = 2 + static_cast<int>(rng.below(6));
+    const int extra = static_cast<int>(rng.below(6));
+    const topo::Topology t =
+        topo::random_irregular(switches, hosts, extra, rng);
+    for (const auto& paths : random_path_sets(t, seed, rng)) {
+      const auto want = reference::build(t, paths);
+      const auto got = analysis::build_deadlock_certificate(t, paths);
+      ASSERT_EQ(got.deadlock_free, want.deadlock_free) << "seed " << seed;
+      ASSERT_EQ(got.channels, want.channels) << "seed " << seed;
+      ASSERT_EQ(got.dependencies, want.dependencies) << "seed " << seed;
+      ASSERT_EQ(got.topological_order, want.topological_order)
+          << "seed " << seed;
+      ASSERT_EQ(got.cycle, want.cycle) << "seed " << seed;
+      (want.deadlock_free ? acyclic : cyclic) += 1;
+
+      std::vector<std::string> why;
+      ASSERT_TRUE(analysis::check_deadlock(paths, got, &why))
+          << "seed " << seed << ": " << (why.empty() ? "" : why.front());
+      for (const auto& tampered : mutations(want)) {
+        std::vector<std::string> why_want;
+        std::vector<std::string> why_got;
+        const bool ok_want = reference::check(paths, tampered, &why_want);
+        const bool ok_got =
+            analysis::check_deadlock(paths, tampered, &why_got);
+        ASSERT_EQ(ok_got, ok_want) << "seed " << seed;
+        ASSERT_EQ(why_got, why_want) << "seed " << seed;
+        rejected += ok_got ? 0u : 1u;
+      }
+    }
+  }
+  // The sweep must exercise both verdicts and real rejections.
+  EXPECT_GT(cyclic, 50u);
+  EXPECT_GT(acyclic, 150u);
+  EXPECT_GT(rejected, 1000u);
+}
+
 // ------------------------------------------------------------------- lints
 
 TEST(FabricLints, CleanViewPasses) {
@@ -352,6 +703,125 @@ TEST(FabricLints, HandBrokenViewsAreDiagnosed) {
     analysis::lint_fabric(view, report);
     EXPECT_GE(report.count("SL307"), 1u) << report.text();
   }
+}
+
+// Structural lints (SL102..SL105), one corrupted route at a time. The
+// fabric is ring(4, 2) plus a loopback cable on r1 (wire 12, never routed):
+// switches r0..r3 are nodes 0..3, ring wire i joins r<i> port 0 to
+// r<i+1> port 1, and hosts h0..h7 (nodes 4..11) hang off wires 4..11.
+// Locations and messages are pinned verbatim.
+class StructureLints : public ::testing::Test {
+ protected:
+  StructureLints()
+      : fabric_(loop_ring()),
+        table_(routing::compute_updown_routes(fabric_, {}, 1)) {}
+
+  static topo::Topology loop_ring() {
+    topo::Topology t = topo::ring(4, 2);
+    t.connect(1, 6, 1, 7);
+    return t;
+  }
+
+  /// The route under test: h0 -> h4, h0 on r0 and h4 on r2.
+  routing::HostRoute base() const { return table_.route(4, 8); }
+
+  /// Lints `route` as the only entry of a table keyed (src, dst) and
+  /// renders each finding as "code|location|message".
+  std::vector<std::string> findings(const topo::Topology& t,
+                                    const routing::HostRoute& route,
+                                    topo::NodeId src = 4,
+                                    topo::NodeId dst = 8) const {
+    routing::RoutingResult one = table_;
+    one.routes.clear();
+    one.routes.emplace(std::make_pair(src, dst), route);
+    analysis::DiagnosticReport report;
+    const bool sound = analysis::lint_route_structure(t, one, report);
+    std::vector<std::string> out;
+    for (const auto& d : report.diagnostics()) {
+      out.push_back(d.code + "|" + d.location + "|" + d.message);
+    }
+    EXPECT_EQ(sound, out.empty());
+    return out;
+  }
+
+  topo::Topology fabric_;
+  routing::RoutingResult table_;
+};
+
+TEST_F(StructureLints, TheBaseRouteIsSound) {
+  const routing::HostRoute route = base();
+  EXPECT_EQ(route.nodes, (std::vector<topo::NodeId>{4, 0, 1, 2, 8}));
+  EXPECT_EQ(route.wires, (std::vector<topo::WireId>{4, 0, 1, 8}));
+  EXPECT_EQ(route.turns, (simnet::Route{-2, -1, 1}));
+  EXPECT_TRUE(findings(fabric_, route).empty());
+}
+
+TEST_F(StructureLints, DeadEndpointIsSL102) {
+  topo::Topology t = fabric_;
+  t.remove_node(8);  // h4, and with it wire 8
+  EXPECT_EQ(findings(t, base()),
+            (std::vector<std::string>{
+                "SL102|route h0->node 8|endpoint 8 is not a live host",
+                "SL103|route h0->node 8 hop 3|wire 8 is dead or nonexistent"}));
+}
+
+TEST_F(StructureLints, SwitchEndpointIsSL102AndBadShape) {
+  EXPECT_EQ(findings(fabric_, base(), 4, 2),
+            (std::vector<std::string>{
+                "SL102|route h0->r2|endpoint 2 is not a live host",
+                "SL103|route h0->r2|path shape is inconsistent (5 nodes, 4 "
+                "wires)"}));
+}
+
+TEST_F(StructureLints, BadShapeIsSL103) {
+  routing::HostRoute route = base();
+  route.wires.pop_back();
+  EXPECT_EQ(findings(fabric_, route),
+            (std::vector<std::string>{
+                "SL103|route h0->h4|path shape is inconsistent (5 nodes, 3 "
+                "wires)"}));
+}
+
+TEST_F(StructureLints, DeadWireIsSL103AtItsHop) {
+  routing::HostRoute route = base();
+  route.wires[1] = 999;
+  EXPECT_EQ(findings(fabric_, route),
+            (std::vector<std::string>{
+                "SL103|route h0->h4 hop 1|wire 999 is dead or nonexistent"}));
+}
+
+TEST_F(StructureLints, NonConnectingWireIsSL103AtItsHop) {
+  routing::HostRoute route = base();
+  route.wires[2] = 3;  // r3 <-> r0, not r1 -> r2
+  EXPECT_EQ(findings(fabric_, route),
+            (std::vector<std::string>{
+                "SL103|route h0->h4 hop 2|wire 3 does not connect r1 to r2"}));
+}
+
+TEST_F(StructureLints, SelfLoopCableIsSL104) {
+  routing::HostRoute route = base();
+  route.wires[2] = 12;
+  EXPECT_EQ(findings(fabric_, route),
+            (std::vector<std::string>{
+                "SL104|route h0->h4 hop 2|wire 12 is a self-loop cable"}));
+}
+
+TEST_F(StructureLints, WrongTurnWordIsSL105) {
+  routing::HostRoute route = base();
+  route.turns[1] += 1;
+  EXPECT_EQ(findings(fabric_, route),
+            (std::vector<std::string>{
+                "SL105|route h0->h4|turn word -2.+0.+1 does not reproduce "
+                "the hop path (expected -2.-1.+1)"}));
+}
+
+TEST_F(StructureLints, ShortTurnWordIsSL105) {
+  routing::HostRoute route = base();
+  route.turns.pop_back();
+  EXPECT_EQ(findings(fabric_, route),
+            (std::vector<std::string>{
+                "SL105|route h0->h4|turn word -2.-1 does not reproduce the "
+                "hop path (expected -2.-1.+1)"}));
 }
 
 TEST(RouteLints, MissingHostPairIsAnError) {

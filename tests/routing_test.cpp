@@ -2,6 +2,9 @@
 // and replay of the emitted source routes through the simulator.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
 #include "routing/updown.hpp"
@@ -266,10 +269,33 @@ TEST(Routes, ParallelCablesAreLoadBalanced) {
 
 TEST(Routes, TableForReturnsPerSourceRoutes) {
   const Topology t = topo::star(3, 2);
-  const auto result = compute_updown_routes(t);
+  auto result = compute_updown_routes(t);
   const auto hosts = t.hosts();
-  const auto table = result.table_for(hosts.front());
-  EXPECT_EQ(table.size(), hosts.size() - 1);
+  // Each source's table is exactly its routes, in ascending destination
+  // order: the first host, the last host and every one between.
+  for (const NodeId src : hosts) {
+    std::vector<const HostRoute*> want;
+    for (const NodeId dst : hosts) {
+      if (dst != src) {
+        want.push_back(&result.route(src, dst));
+      }
+    }
+    EXPECT_EQ(result.table_for(src), want) << t.name(src);
+  }
+  EXPECT_EQ(result.table_for(hosts.front()).size(), hosts.size() - 1);
+  EXPECT_EQ(result.table_for(hosts.back()).size(), hosts.size() - 1);
+  // Nodes with no routes get an empty table: a switch, an id past every
+  // node, and a host whose routes were dropped (its neighbours in id order
+  // keep theirs).
+  EXPECT_TRUE(result.table_for(t.switches().front()).empty());
+  EXPECT_TRUE(result.table_for(static_cast<NodeId>(t.node_capacity())).empty());
+  const NodeId dropped = hosts[2];
+  std::erase_if(result.routes, [&](const auto& entry) {
+    return entry.first.first == dropped;
+  });
+  EXPECT_TRUE(result.table_for(dropped).empty());
+  EXPECT_EQ(result.table_for(hosts[1]).size(), hosts.size() - 1);
+  EXPECT_EQ(result.table_for(hosts[3]).size(), hosts.size() - 1);
 }
 
 TEST(Routes, MissingRouteThrows) {
