@@ -4,10 +4,12 @@
 #include <deque>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/pair_set.hpp"
 #include "routing/updown.hpp"
 
 namespace sanmap::analysis {
@@ -44,35 +46,53 @@ void explain(std::vector<std::string>* why, const std::string& line) {
   }
 }
 
-std::size_t channel_id(const routing::Channel& c) {
-  return static_cast<std::size_t>(c.wire) * 2 +
-         static_cast<std::size_t>(c.a_to_b);
-}
+using routing::channel_from_id;
+using routing::channel_id;
 
-routing::Channel channel_from_id(std::size_t id) {
-  return routing::Channel{static_cast<topo::WireId>(id / 2), (id % 2) != 0};
-}
-
-/// The deduplicated dependency edge list (by dense channel id) that both the
+/// The deduplicated dependency graph (by dense channel id) that both the
 /// certificate builder and the checker derive from the same path inputs:
-/// per channel, its successors in ascending order. A channel has at most a
-/// port's worth of successors, so a linear find deduplicates on insert.
-std::vector<std::vector<std::size_t>> dependency_edges(
-    const std::vector<std::vector<routing::Channel>>& paths,
-    std::size_t num_channels) {
-  std::vector<std::vector<std::size_t>> deps(num_channels);
-  for (const auto& path : paths) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      auto& successors = deps[channel_id(path[i])];
-      const std::size_t to = channel_id(path[i + 1]);
-      if (std::find(successors.begin(), successors.end(), to) ==
-          successors.end()) {
-        successors.push_back(to);
+/// channel c's successors are succ[first[c]] .. succ[first[c + 1] - 1], in
+/// ascending order.
+struct DependencyEdges {
+  std::vector<std::size_t> first;
+  std::vector<routing::ChannelId> succ;
+
+  [[nodiscard]] std::size_t channels() const { return first.size() - 1; }
+  [[nodiscard]] std::span<const routing::ChannelId> of(std::size_t c) const {
+    return std::span<const routing::ChannelId>(succ).subspan(
+        first[c], first[c + 1] - first[c]);
+  }
+};
+
+DependencyEdges dependency_edges(const routing::ChannelPaths& paths,
+                                 std::size_t num_channels) {
+  std::vector<std::pair<routing::ChannelId, routing::ChannelId>> edges;
+  common::PairSet seen;
+  for (std::size_t r = 0; r < paths.size(); ++r) {
+    for (std::size_t i = paths.offsets[r]; i + 1 < paths.offsets[r + 1];
+         ++i) {
+      if (seen.insert(paths.ids[i], paths.ids[i + 1])) {
+        edges.emplace_back(paths.ids[i], paths.ids[i + 1]);
       }
     }
   }
-  for (auto& successors : deps) {
-    std::sort(successors.begin(), successors.end());
+  DependencyEdges deps;
+  deps.first.assign(num_channels + 1, 0);
+  for (const auto& [from, to] : edges) {
+    ++deps.first[from + 1];
+  }
+  for (std::size_t c = 0; c < num_channels; ++c) {
+    deps.first[c + 1] += deps.first[c];
+  }
+  deps.succ.resize(edges.size());
+  std::vector<std::size_t> fill(deps.first.begin(), deps.first.end() - 1);
+  for (const auto& [from, to] : edges) {
+    deps.succ[fill[from]++] = to;
+  }
+  const auto succ = deps.succ.begin();
+  for (std::size_t c = 0; c < num_channels; ++c) {
+    std::sort(succ + static_cast<std::ptrdiff_t>(deps.first[c]),
+              succ + static_cast<std::ptrdiff_t>(deps.first[c + 1]));
   }
   return deps;
 }
@@ -200,8 +220,7 @@ bool check_legality(const topo::Topology& topo,
 }
 
 DeadlockCertificate build_deadlock_certificate(
-    const topo::Topology& topo,
-    const std::vector<std::vector<routing::Channel>>& paths) {
+    const topo::Topology& topo, const routing::ChannelPaths& paths) {
   const std::size_t num_channels = topo.wire_capacity() * 2;
   const auto deps = dependency_edges(paths, num_channels);
 
@@ -210,7 +229,7 @@ DeadlockCertificate build_deadlock_certificate(
   std::vector<std::size_t> in_degree(num_channels, 0);
   std::vector<bool> participates(num_channels, false);
   for (std::size_t from = 0; from < num_channels; ++from) {
-    for (const std::size_t to : deps[from]) {
+    for (const std::size_t to : deps.of(from)) {
       ++in_degree[to];
       ++cert.dependencies;
       participates[from] = true;
@@ -236,7 +255,7 @@ DeadlockCertificate build_deadlock_certificate(
     eliminated[c] = true;
     --remaining;
     cert.topological_order.push_back(channel_from_id(c));
-    for (const std::size_t to : deps[c]) {
+    for (const std::size_t to : deps.of(c)) {
       if (--in_degree[to] == 0) {
         ready.push_back(to);
       }
@@ -261,7 +280,7 @@ DeadlockCertificate build_deadlock_certificate(
       if (eliminated[from] || !participates[from]) {
         continue;
       }
-      for (const std::size_t to : deps[from]) {
+      for (const std::size_t to : deps.of(from)) {
         if (!eliminated[to]) {
           ++out_degree[from];
           preds[to].push_back(from);
@@ -299,7 +318,7 @@ DeadlockCertificate build_deadlock_certificate(
     seen_at[at] = static_cast<int>(walk.size());
     walk.push_back(at);
     std::size_t next = num_channels;
-    for (const std::size_t to : deps[at]) {
+    for (const std::size_t to : deps.of(at)) {
       if (!eliminated[to]) {
         next = to;
         break;
@@ -316,21 +335,20 @@ DeadlockCertificate build_deadlock_certificate(
   return cert;
 }
 
-bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
+bool check_deadlock(const routing::ChannelPaths& paths,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why) {
   // Re-derive the dependency edges; the checker trusts only the paths.
   std::size_t max_id = 0;
-  for (const auto& path : paths) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      max_id = std::max({max_id, channel_id(path[i]), channel_id(path[i + 1])});
+  for (std::size_t r = 0; r < paths.size(); ++r) {
+    const auto path = paths[r];
+    if (path.size() >= 2) {
+      max_id = std::max<std::size_t>(
+          max_id, *std::max_element(path.begin(), path.end()));
     }
   }
   const auto deps = dependency_edges(paths, max_id + 1);
-  std::size_t edges = 0;
-  for (const auto& successors : deps) {
-    edges += successors.size();
-  }
+  const std::size_t edges = deps.succ.size();
   if (cert.dependencies != edges) {
     explain(why, "certificate counts " + std::to_string(cert.dependencies) +
                      " dependencies, paths derive " + std::to_string(edges));
@@ -351,8 +369,8 @@ bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
         position[id] = i;
       }
     }
-    for (std::size_t from = 0; from < deps.size(); ++from) {
-      for (const std::size_t to : deps[from]) {
+    for (std::size_t from = 0; from < deps.channels(); ++from) {
+      for (const std::size_t to : deps.of(from)) {
         const std::size_t pf = position[from];
         const std::size_t pt = position[to];
         if (pf == std::numeric_limits<std::size_t>::max() ||
@@ -380,8 +398,8 @@ bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
     const std::size_t from = channel_id(cert.cycle[i]);
     const std::size_t to =
         channel_id(cert.cycle[(i + 1) % cert.cycle.size()]);
-    if (from >= deps.size() ||
-        !std::binary_search(deps[from].begin(), deps[from].end(), to)) {
+    if (from >= deps.channels() ||
+        !std::binary_search(deps.of(from).begin(), deps.of(from).end(), to)) {
       explain(why, "counterexample edge " +
                        to_string(channel_from_id(from)) + " -> " +
                        to_string(channel_from_id(to)) +

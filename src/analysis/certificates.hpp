@@ -82,12 +82,11 @@ bool check_legality(const topo::Topology& topo,
 /// same routing::route_channel_paths inputs the dynamic detectors use),
 /// via Kahn elimination over an explicitly constructed dependency graph.
 DeadlockCertificate build_deadlock_certificate(
-    const topo::Topology& topo,
-    const std::vector<std::vector<routing::Channel>>& paths);
+    const topo::Topology& topo, const routing::ChannelPaths& paths);
 
 /// Validates a deadlock certificate against the dependency edges re-derived
 /// from `paths`. Appends discrepancies to `why`; true when it holds.
-bool check_deadlock(const std::vector<std::vector<routing::Channel>>& paths,
+bool check_deadlock(const routing::ChannelPaths& paths,
                     const DeadlockCertificate& cert,
                     std::vector<std::string>* why = nullptr);
 

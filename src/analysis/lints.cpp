@@ -392,16 +392,37 @@ void lint_route_quality(const topo::Topology& topo,
   std::size_t non_minimal = 0;
   int worst_extra = 0;
   std::string worst;
-  // BFS distances, cached across the consecutive routes that share a
-  // source (the route map is key-ordered).
-  topo::NodeId bfs_src = topo::kInvalidNode;
-  std::vector<int> dist;
+  // BFS distances, one run per node a source host hangs off: a host has
+  // one port, so from it every other node is one hop farther than from its
+  // neighbour. Runs are cached as rows of one flat table.
+  const std::size_t capacity = topo.node_capacity();
+  constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> row_of(capacity, kNoRow);
+  std::vector<int> rows;
+  topo::NodeId src = topo::kInvalidNode;
+  std::size_t row = 0;
+  int offset = 0;
   for (const auto& [key, route] : routes.routes) {
-    if (key.first != bfs_src) {
-      bfs_src = key.first;
-      dist = topo::bfs_distances(topo, bfs_src);
+    if (key.first != src) {
+      src = key.first;
+      topo::NodeId from = src;
+      offset = 0;
+      if (topo.node_alive(src) && topo.is_host(src)) {
+        const topo::WireId w = topo.port_wires(src)[0];
+        if (w != topo::kInvalidWire) {
+          from = topo.wire(w).opposite(topo::PortRef{src, 0}).node;
+          offset = 1;
+        }
+      }
+      if (from >= capacity || row_of[from] == kNoRow) {
+        const std::vector<int> dist = topo::bfs_distances(topo, from);
+        row_of[from] = rows.size() / capacity;
+        rows.insert(rows.end(), dist.begin(), dist.end());
+      }
+      row = row_of[from];
     }
-    const int shortest = dist[key.second];
+    const int far = rows[row * capacity + key.second];
+    const int shortest = key.second == src ? 0 : far < 0 ? -1 : far + offset;
     if (shortest >= 0 && route.hops() > shortest) {
       ++non_minimal;
       if (route.hops() - shortest > worst_extra) {

@@ -1,64 +1,69 @@
 #include "routing/deadlock.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/pair_set.hpp"
 
 namespace sanmap::routing {
 
 namespace {
 
-/// Dense channel ids: wire * 2 + direction.
-std::size_t channel_id(const Channel& c) {
-  return static_cast<std::size_t>(c.wire) * 2 +
-         static_cast<std::size_t>(c.a_to_b);
-}
-
-Channel channel_from_id(std::size_t id) {
-  return Channel{static_cast<topo::WireId>(id / 2), (id % 2) != 0};
-}
-
 DeadlockAnalysis analyze(const topo::Topology& topo,
-                         const std::vector<std::vector<Channel>>& paths) {
+                         const ChannelPaths& paths) {
   const std::size_t num_channels = topo.wire_capacity() * 2;
-  std::vector<std::vector<std::size_t>> deps(num_channels);
-  std::size_t dependency_count = 0;
-  for (const auto& path : paths) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const std::size_t from = channel_id(path[i]);
-      const std::size_t to = channel_id(path[i + 1]);
-      auto& list = deps[from];
-      if (std::find(list.begin(), list.end(), to) == list.end()) {
-        list.push_back(to);
-        ++dependency_count;
+  // Every dependency once, in first-seen order.
+  std::vector<std::pair<ChannelId, ChannelId>> edges;
+  common::PairSet seen;
+  for (std::size_t r = 0; r < paths.size(); ++r) {
+    for (std::size_t i = paths.offsets[r]; i + 1 < paths.offsets[r + 1];
+         ++i) {
+      if (seen.insert(paths.ids[i], paths.ids[i + 1])) {
+        edges.emplace_back(paths.ids[i], paths.ids[i + 1]);
       }
+    }
+  }
+  // Successor lists in one array: channel c's successors are
+  // succ[first[c]] .. succ[first[c + 1] - 1], in first-seen order, which
+  // fixes the order the DFS below explores them in.
+  std::vector<std::size_t> first(num_channels + 1, 0);
+  for (const auto& [from, to] : edges) {
+    ++first[from + 1];
+  }
+  for (std::size_t c = 0; c < num_channels; ++c) {
+    first[c + 1] += first[c];
+  }
+  std::vector<ChannelId> succ(edges.size());
+  {
+    std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+    for (const auto& [from, to] : edges) {
+      succ[fill[from]++] = to;
     }
   }
 
   DeadlockAnalysis result;
   result.channels = num_channels;
-  result.dependencies = dependency_count;
+  result.dependencies = edges.size();
 
   // Iterative three-color DFS for a cycle.
   enum : std::uint8_t { kWhite, kGray, kBlack };
   std::vector<std::uint8_t> color(num_channels, kWhite);
-  std::vector<std::size_t> parent(num_channels, num_channels);
+  struct Frame {
+    std::size_t node;
+    std::size_t next_child;
+  };
+  std::vector<Frame> stack;
   for (std::size_t start = 0; start < num_channels; ++start) {
     if (color[start] != kWhite) {
       continue;
     }
-    struct Frame {
-      std::size_t node;
-      std::size_t next_child = 0;
-    };
-    std::vector<Frame> stack{{start, 0}};
+    stack.assign(1, Frame{start, first[start]});
     color[start] = kGray;
     while (!stack.empty()) {
       Frame& frame = stack.back();
-      if (frame.next_child < deps[frame.node].size()) {
-        const std::size_t child = deps[frame.node][frame.next_child++];
+      if (frame.next_child < first[frame.node + 1]) {
+        const std::size_t child = succ[frame.next_child++];
         if (color[child] == kGray) {
           // Cycle found: walk the gray stack back to `child`.
           std::vector<Channel> cycle;
@@ -76,7 +81,7 @@ DeadlockAnalysis analyze(const topo::Topology& topo,
         }
         if (color[child] == kWhite) {
           color[child] = kGray;
-          stack.push_back(Frame{child, 0});
+          stack.push_back(Frame{child, first[child]});
         }
       } else {
         color[frame.node] = kBlack;
@@ -90,19 +95,28 @@ DeadlockAnalysis analyze(const topo::Topology& topo,
 
 }  // namespace
 
-std::vector<std::vector<Channel>> route_channel_paths(
-    const topo::Topology& topo, const RoutingResult& routes) {
-  std::vector<std::vector<Channel>> paths;
-  paths.reserve(routes.routes.size());
+void ChannelPaths::add(const std::vector<Channel>& path) {
+  for (const Channel& c : path) {
+    SANMAP_CHECK_MSG(c.wire < kMaxChannelWires,
+                     "wire " << c.wire << " has no 32-bit channel id");
+    ids.push_back(static_cast<ChannelId>(channel_id(c)));
+  }
+  offsets.push_back(ids.size());
+}
+
+ChannelPaths route_channel_paths(const topo::Topology& topo,
+                                 const RoutingResult& routes) {
+  SANMAP_CHECK_MSG(topo.wire_capacity() <= kMaxChannelWires,
+                   "too many wires for 32-bit channel ids");
+  ChannelPaths paths;
+  paths.offsets.reserve(routes.routes.size() + 1);
   for (const auto& [key, route] : routes.routes) {
-    std::vector<Channel> channels;
-    channels.reserve(route.wires.size());
     for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const topo::Wire& wire = topo.wire(route.wires[i]);
-      channels.push_back(Channel{route.wires[i],
-                                 wire.a.node == route.nodes[i]});
+      const topo::WireId w = route.wires[i];
+      paths.ids.push_back(static_cast<ChannelId>(
+          channel_id(Channel{w, topo.wire(w).a.node == route.nodes[i]})));
     }
-    paths.push_back(std::move(channels));
+    paths.offsets.push_back(paths.ids.size());
   }
   return paths;
 }
@@ -112,9 +126,8 @@ DeadlockAnalysis analyze_routes(const topo::Topology& topo,
   return analyze(topo, route_channel_paths(topo, routes));
 }
 
-DeadlockAnalysis analyze_channel_paths(
-    const topo::Topology& topo,
-    const std::vector<std::vector<Channel>>& paths) {
+DeadlockAnalysis analyze_channel_paths(const topo::Topology& topo,
+                                       const ChannelPaths& paths) {
   return analyze(topo, paths);
 }
 

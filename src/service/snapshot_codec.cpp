@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -196,23 +197,35 @@ MapSnapshot decode_snapshot(const std::string& bytes) {
     throw std::runtime_error(
         "snapshot: stored route count disagrees with recomputation");
   }
+  // Encoded records follow the table's key order, so each is first held
+  // against the next recomputed route; only a record whose names differ
+  // from that route's is looked up by name.
+  const auto& routes = snapshot.routes.routes;
+  auto next = routes.begin();
+  simnet::Route turns;
   for (std::uint32_t i = 0; i < route_count; ++i) {
     const std::string src = payload.str();
     const std::string dst = payload.str();
     const std::uint32_t turn_count = payload.u32();
-    simnet::Route turns;
-    turns.reserve(turn_count);
+    turns.clear();
     for (std::uint32_t t = 0; t < turn_count; ++t) {
       turns.push_back(static_cast<simnet::Turn>(payload.i8()));
     }
-    const auto s = snapshot.map.find_host(src);
-    const auto d = snapshot.map.find_host(dst);
-    if (!s || !d) {
-      throw std::runtime_error("snapshot: route endpoint " + src + " -> " +
-                               dst + " missing from the map");
+    auto it = next;
+    if (it == routes.end() || snapshot.map.name(it->first.first) != src ||
+        snapshot.map.name(it->first.second) != dst) {
+      const auto s = snapshot.map.find_host(src);
+      const auto d = snapshot.map.find_host(dst);
+      if (!s || !d) {
+        throw std::runtime_error("snapshot: route endpoint " + src + " -> " +
+                                 dst + " missing from the map");
+      }
+      it = routes.find({*s, *d});
     }
-    const auto it = snapshot.routes.routes.find({*s, *d});
-    if (it == snapshot.routes.routes.end() || it->second.turns != turns) {
+    if (it != routes.end()) {
+      next = std::next(it);
+    }
+    if (it == routes.end() || it->second.turns != turns) {
       throw std::runtime_error("snapshot: stored route " + src + " -> " + dst +
                                " disagrees with this build's router");
     }

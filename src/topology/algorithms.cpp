@@ -2,21 +2,30 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "common/check.hpp"
 
 namespace sanmap::topo {
 
-std::vector<int> bfs_distances(const Topology& topo, NodeId from) {
-  SANMAP_CHECK(topo.node_alive(from));
+namespace {
+
+/// BFS hop distances from the nearest of `sources` (all live, at distance
+/// 0) to every node; -1 where unreachable.
+std::vector<int> multi_source_bfs(const Topology& topo,
+                                  std::span<const NodeId> sources) {
   std::vector<int> dist(topo.node_capacity(), -1);
   // Flat FIFO (head index over a vector) and direct port-table iteration:
   // megafabric benches run this over thousands of nodes, where per-visit
   // neighbor vectors dominate the profile.
   std::vector<NodeId> queue;
   queue.reserve(topo.num_nodes());
-  dist[from] = 0;
-  queue.push_back(from);
+  for (const NodeId s : sources) {
+    if (dist[s] == -1) {
+      dist[s] = 0;
+      queue.push_back(s);
+    }
+  }
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const NodeId n = queue[head];
     const int next = dist[n] + 1;
@@ -34,6 +43,13 @@ std::vector<int> bfs_distances(const Topology& topo, NodeId from) {
     }
   }
   return dist;
+}
+
+}  // namespace
+
+std::vector<int> bfs_distances(const Topology& topo, NodeId from) {
+  SANMAP_CHECK(topo.node_alive(from));
+  return multi_source_bfs(topo, std::span<const NodeId>(&from, 1));
 }
 
 bool connected(const Topology& topo) {
@@ -359,24 +375,19 @@ int search_depth(const Topology& topo, NodeId mapper_host) {
 
 NodeId switch_farthest_from_hosts(const Topology& topo,
                                   const std::vector<NodeId>& ignore) {
-  std::vector<int> min_dist(topo.node_capacity(),
-                            std::numeric_limits<int>::max());
+  // One BFS from every counted host at once: a node's distance is then its
+  // minimum over those hosts.
+  std::vector<NodeId> sources;
   for (const NodeId h : topo.hosts()) {
-    if (std::find(ignore.begin(), ignore.end(), h) != ignore.end()) {
-      continue;
-    }
-    const auto dist = bfs_distances(topo, h);
-    for (NodeId v = 0; v < dist.size(); ++v) {
-      if (dist[v] >= 0) {
-        min_dist[v] = std::min(min_dist[v], dist[v]);
-      }
+    if (std::find(ignore.begin(), ignore.end(), h) == ignore.end()) {
+      sources.push_back(h);
     }
   }
+  const std::vector<int> min_dist = multi_source_bfs(topo, sources);
   NodeId best = kInvalidNode;
   int best_dist = -1;
   for (const NodeId s : topo.switches()) {
-    if (min_dist[s] != std::numeric_limits<int>::max() &&
-        min_dist[s] > best_dist) {
+    if (min_dist[s] > best_dist) {
       best_dist = min_dist[s];
       best = s;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 
 #include "common/check.hpp"
 
@@ -57,9 +58,16 @@ NodeId Topology::add_switch(std::string node_name) {
   return add_node(NodeKind::kSwitch, std::move(node_name));
 }
 
-void Topology::check_node(NodeId n) const {
+void Topology::node_check_failed(NodeId n) const {
   SANMAP_CHECK_MSG(n < nodes_.size() && nodes_[n].alive,
                    "invalid or dead node id " << n);
+  std::abort();  // unreachable: called only when the check fails
+}
+
+void Topology::wire_check_failed(WireId w) const {
+  SANMAP_CHECK_MSG(w < wires_.size() && wires_[w].alive,
+                   "invalid or dead wire id " << w);
+  std::abort();  // unreachable: called only when the check fails
 }
 
 void Topology::check_port(NodeId n, Port p) const {
@@ -138,24 +146,6 @@ void Topology::remove_node(NodeId n) {
   }
 }
 
-bool Topology::node_alive(NodeId n) const {
-  return n < nodes_.size() && nodes_[n].alive;
-}
-
-bool Topology::wire_alive(WireId w) const {
-  return w < wires_.size() && wires_[w].alive;
-}
-
-NodeKind Topology::kind(NodeId n) const {
-  check_node(n);
-  return nodes_[n].kind;
-}
-
-const std::string& Topology::name(NodeId n) const {
-  check_node(n);
-  return nodes_[n].name;
-}
-
 Port Topology::port_count(NodeId n) const {
   check_node(n);
   return static_cast<Port>(nodes_[n].ports.size());
@@ -176,12 +166,6 @@ std::optional<PortRef> Topology::peer(NodeId n, Port p) const {
     return std::nullopt;
   }
   return wires_[*w].wire.opposite(PortRef{n, p});
-}
-
-const Wire& Topology::wire(WireId w) const {
-  SANMAP_CHECK_MSG(w < wires_.size() && wires_[w].alive,
-                   "invalid or dead wire id " << w);
-  return wires_[w].wire;
 }
 
 int Topology::degree(NodeId n) const {

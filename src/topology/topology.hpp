@@ -54,24 +54,42 @@ class Topology {
 
   // -- queries --------------------------------------------------------------
 
-  [[nodiscard]] bool node_alive(NodeId n) const;
-  [[nodiscard]] bool wire_alive(WireId w) const;
+  // The per-hop accessors below are inline; each still checks its id, and
+  // a failed check throws from an out-of-line cold path.
 
-  [[nodiscard]] NodeKind kind(NodeId n) const;
+  [[nodiscard]] bool node_alive(NodeId n) const {
+    return n < nodes_.size() && nodes_[n].alive;
+  }
+  [[nodiscard]] bool wire_alive(WireId w) const {
+    return w < wires_.size() && wires_[w].alive;
+  }
+
+  [[nodiscard]] NodeKind kind(NodeId n) const {
+    check_node(n);
+    return nodes_[n].kind;
+  }
   [[nodiscard]] bool is_host(NodeId n) const {
     return kind(n) == NodeKind::kHost;
   }
   [[nodiscard]] bool is_switch(NodeId n) const {
     return kind(n) == NodeKind::kSwitch;
   }
-  [[nodiscard]] const std::string& name(NodeId n) const;
+  [[nodiscard]] const std::string& name(NodeId n) const {
+    check_node(n);
+    return nodes_[n].name;
+  }
   [[nodiscard]] Port port_count(NodeId n) const;
 
   /// The wire attached at (n, p), if any.
   [[nodiscard]] std::optional<WireId> wire_at(NodeId n, Port p) const;
   /// The wire-end on the far side of the wire at (n, p), if any.
   [[nodiscard]] std::optional<PortRef> peer(NodeId n, Port p) const;
-  [[nodiscard]] const Wire& wire(WireId w) const;
+  [[nodiscard]] const Wire& wire(WireId w) const {
+    if (!wire_alive(w)) [[unlikely]] {
+      wire_check_failed(w);
+    }
+    return wires_[w].wire;
+  }
 
   /// Number of live wires incident on n (self-loops count twice).
   [[nodiscard]] int degree(NodeId n) const;
@@ -141,7 +159,15 @@ class Topology {
   };
 
   NodeId add_node(NodeKind kind, std::string name);
-  void check_node(NodeId n) const;
+  void check_node(NodeId n) const {
+    if (!node_alive(n)) [[unlikely]] {
+      node_check_failed(n);
+    }
+  }
+  /// The failure branches of check_node() and wire(): they throw the
+  /// SANMAP_CHECK failure for the id.
+  [[noreturn, gnu::cold]] void node_check_failed(NodeId n) const;
+  [[noreturn, gnu::cold]] void wire_check_failed(WireId w) const;
   void check_port(NodeId n, Port p) const;
 
   std::vector<NodeRec> nodes_;

@@ -38,11 +38,11 @@ std::string OracleReport::summary() const {
   return oss.str();
 }
 
-bool channel_paths_acyclic(
-    const std::vector<std::vector<routing::Channel>>& paths) {
-  // Dense channel indexing; dependency edges deduplicated per source.
-  std::map<routing::Channel, std::size_t> index;
-  const auto id_of = [&](const routing::Channel& ch) {
+bool channel_paths_acyclic(const routing::ChannelPaths& paths) {
+  // Own dense indexing of the channels seen; dependency edges deduplicated
+  // per source.
+  std::map<routing::ChannelId, std::size_t> index;
+  const auto id_of = [&](routing::ChannelId ch) {
     return index.emplace(ch, index.size()).first->second;
   };
   std::vector<std::vector<std::size_t>> out;
@@ -53,7 +53,8 @@ bool channel_paths_acyclic(
       in_degree.resize(n + 1, 0);
     }
   };
-  for (const auto& path : paths) {
+  for (std::size_t r = 0; r < paths.size(); ++r) {
+    const auto path = paths[r];
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       const std::size_t from = id_of(path[i]);
       const std::size_t to = id_of(path[i + 1]);

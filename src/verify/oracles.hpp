@@ -145,7 +145,6 @@ OracleReport run_oracles(const ScenarioCase& c,
 /// `paths` — deliberately a different algorithm from the DFS 3-coloring in
 /// routing::analyze_channel_paths, so the two can cross-check each other.
 /// Returns true when the dependency graph is acyclic.
-bool channel_paths_acyclic(
-    const std::vector<std::vector<routing::Channel>>& paths);
+bool channel_paths_acyclic(const routing::ChannelPaths& paths);
 
 }  // namespace sanmap::verify

@@ -30,6 +30,7 @@
 #include "analysis/diagnostics.hpp"
 #include "analysis/lints.hpp"
 #include "common/check.hpp"
+#include "common/pair_set.hpp"
 #include "common/rng.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
@@ -243,8 +244,10 @@ TEST(DeadlockCertificate, HandBuiltCycleYieldsACounterexample) {
   const routing::Channel c0{0, true};
   const routing::Channel c1{1, true};
   const routing::Channel c2{2, true};
-  const std::vector<std::vector<routing::Channel>> paths = {
-      {c0, c1}, {c1, c2}, {c2, c0}};
+  routing::ChannelPaths paths;
+  paths.add({c0, c1});
+  paths.add({c1, c2});
+  paths.add({c2, c0});
   const auto cert = analysis::build_deadlock_certificate(t, paths);
   EXPECT_FALSE(cert.deadlock_free);
   ASSERT_GE(cert.cycle.size(), 2u);
@@ -292,14 +295,8 @@ TEST(DeadlockCertificate, AgreesWithBothDynamicDetectorsOnRandomFabrics) {
 // The differential test below holds the production pair to it.
 namespace reference {
 
-std::size_t channel_id(const routing::Channel& c) {
-  return static_cast<std::size_t>(c.wire) * 2 +
-         static_cast<std::size_t>(c.a_to_b);
-}
-
-routing::Channel channel_from_id(std::size_t id) {
-  return routing::Channel{static_cast<topo::WireId>(id / 2), (id % 2) != 0};
-}
+using routing::channel_from_id;
+using routing::channel_id;
 
 void explain(std::vector<std::string>* why, const std::string& line) {
   if (why != nullptr) {
@@ -308,20 +305,19 @@ void explain(std::vector<std::string>* why, const std::string& line) {
 }
 
 std::vector<std::set<std::size_t>> dependency_edges(
-    const std::vector<std::vector<routing::Channel>>& paths,
-    std::size_t num_channels) {
+    const routing::ChannelPaths& paths, std::size_t num_channels) {
   std::vector<std::set<std::size_t>> deps(num_channels);
-  for (const auto& path : paths) {
+  for (std::size_t r = 0; r < paths.size(); ++r) {
+    const auto path = paths[r];
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      deps[channel_id(path[i])].insert(channel_id(path[i + 1]));
+      deps[path[i]].insert(path[i + 1]);
     }
   }
   return deps;
 }
 
-analysis::DeadlockCertificate build(
-    const topo::Topology& topo,
-    const std::vector<std::vector<routing::Channel>>& paths) {
+analysis::DeadlockCertificate build(const topo::Topology& topo,
+                                    const routing::ChannelPaths& paths) {
   const std::size_t num_channels = topo.wire_capacity() * 2;
   const auto deps = dependency_edges(paths, num_channels);
 
@@ -436,16 +432,17 @@ analysis::DeadlockCertificate build(
   return cert;
 }
 
-bool check(const std::vector<std::vector<routing::Channel>>& paths,
+bool check(const routing::ChannelPaths& paths,
            const analysis::DeadlockCertificate& cert,
            std::vector<std::string>* why) {
   // Re-derive the dependency edges; the checker trusts only the paths.
   std::set<std::pair<std::size_t, std::size_t>> edges;
   std::size_t max_id = 0;
-  for (const auto& path : paths) {
+  for (std::size_t r = 0; r < paths.size(); ++r) {
+    const auto path = paths[r];
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const std::size_t from = channel_id(path[i]);
-      const std::size_t to = channel_id(path[i + 1]);
+      const std::size_t from = path[i];
+      const std::size_t to = path[i + 1];
       edges.insert({from, to});
       max_id = std::max({max_id, from, to});
     }
@@ -509,21 +506,85 @@ bool check(const std::vector<std::vector<routing::Channel>>& paths,
   return true;
 }
 
+/// Routing's three-colour DFS as it shipped with a linear find over each
+/// successor list, for the differential test below.
+routing::DeadlockAnalysis dfs(const topo::Topology& topo,
+                              const routing::ChannelPaths& paths) {
+  const std::size_t num_channels = topo.wire_capacity() * 2;
+  std::vector<std::vector<std::size_t>> deps(num_channels);
+  std::size_t dependency_count = 0;
+  for (std::size_t r = 0; r < paths.size(); ++r) {
+    const auto path = paths[r];
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      auto& list = deps[path[i]];
+      if (std::find(list.begin(), list.end(), path[i + 1]) == list.end()) {
+        list.push_back(path[i + 1]);
+        ++dependency_count;
+      }
+    }
+  }
+  routing::DeadlockAnalysis result;
+  result.channels = num_channels;
+  result.dependencies = dependency_count;
+  enum : std::uint8_t { kWhite, kGray, kBlack };
+  std::vector<std::uint8_t> color(num_channels, kWhite);
+  for (std::size_t start = 0; start < num_channels; ++start) {
+    if (color[start] != kWhite) {
+      continue;
+    }
+    struct Frame {
+      std::size_t node;
+      std::size_t next_child = 0;
+    };
+    std::vector<Frame> stack{{start, 0}};
+    color[start] = kGray;
+    while (!stack.empty()) {
+      Frame& frame = stack.back();
+      if (frame.next_child < deps[frame.node].size()) {
+        const std::size_t child = deps[frame.node][frame.next_child++];
+        if (color[child] == kGray) {
+          std::vector<routing::Channel> cycle;
+          cycle.push_back(channel_from_id(child));
+          for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+            cycle.push_back(channel_from_id(it->node));
+            if (it->node == child) {
+              break;
+            }
+          }
+          std::reverse(cycle.begin(), cycle.end());
+          result.cycle = std::move(cycle);
+          return result;
+        }
+        if (color[child] == kWhite) {
+          color[child] = kGray;
+          stack.push_back(Frame{child, 0});
+        }
+      } else {
+        color[frame.node] = kBlack;
+        stack.pop_back();
+      }
+    }
+  }
+  result.deadlock_free = true;
+  return result;
+}
+
 }  // namespace reference
 
 /// Random path sets over `t`'s channels: the UP*/DOWN* table's own paths,
 /// the same with an injected down-to-up detour, and random channel walks
 /// (mostly cyclic).
-std::vector<std::vector<std::vector<routing::Channel>>> random_path_sets(
-    const topo::Topology& t, std::uint64_t seed, common::Rng& rng) {
-  std::vector<std::vector<std::vector<routing::Channel>>> sets;
+std::vector<routing::ChannelPaths> random_path_sets(const topo::Topology& t,
+                                                    std::uint64_t seed,
+                                                    common::Rng& rng) {
+  std::vector<routing::ChannelPaths> sets;
   auto routes = routing::compute_updown_routes(t, {}, seed);
   sets.push_back(routing::route_channel_paths(t, routes));
   if (!analysis::inject_down_up_turn(t, routes).empty()) {
     sets.push_back(routing::route_channel_paths(t, routes));
   }
   const auto wires = t.wires();
-  std::vector<std::vector<routing::Channel>> walks;
+  routing::ChannelPaths walks;
   const std::size_t count = 1 + rng.below(12);
   for (std::size_t p = 0; p < count; ++p) {
     std::vector<routing::Channel> walk;
@@ -531,7 +592,7 @@ std::vector<std::vector<std::vector<routing::Channel>>> random_path_sets(
     for (std::size_t i = 0; i < length; ++i) {
       walk.push_back(routing::Channel{rng.pick(wires), rng.below(2) == 1});
     }
-    walks.push_back(std::move(walk));
+    walks.add(walk);
   }
   sets.push_back(std::move(walks));
   return sets;
@@ -588,10 +649,74 @@ std::vector<analysis::DeadlockCertificate> mutations(
   return out;
 }
 
+/// Two-channel paths between random channels of `t`, mostly far apart:
+/// `pairs` draws, so the distinct dependencies outgrow the pair set's first
+/// capacity. With `forward_only` each path ascends in channel id, which
+/// keeps the dependency graph acyclic.
+routing::ChannelPaths random_channel_pairs(const topo::Topology& t,
+                                           std::size_t pairs,
+                                           bool forward_only,
+                                           common::Rng& rng) {
+  const auto wires = t.wires();
+  routing::ChannelPaths paths;
+  for (std::size_t p = 0; p < pairs; ++p) {
+    routing::Channel a{rng.pick(wires), rng.below(2) == 1};
+    routing::Channel b{rng.pick(wires), rng.below(2) == 1};
+    if (forward_only && routing::channel_id(b) <= routing::channel_id(a)) {
+      if (a == b) {
+        continue;
+      }
+      std::swap(a, b);
+    }
+    paths.add({a, b});
+  }
+  return paths;
+}
+
 TEST(DeadlockCertificate, MatchesTheSetBasedReferenceOnRandomPathSets) {
   std::size_t cyclic = 0;
   std::size_t acyclic = 0;
   std::size_t rejected = 0;
+  std::size_t past_first_capacity = 0;
+  // Every path set is checked twice over: the certificate builder and
+  // checker against the set-based reference, and routing's DFS against
+  // the linear-find reference (verdict, dependency count, witness cycle).
+  const auto check_set = [&](const topo::Topology& t,
+                             const routing::ChannelPaths& paths,
+                             std::uint64_t seed) {
+    const auto dfs_want = reference::dfs(t, paths);
+    const auto dfs_got = routing::analyze_channel_paths(t, paths);
+    ASSERT_EQ(dfs_got.deadlock_free, dfs_want.deadlock_free) << "seed " << seed;
+    ASSERT_EQ(dfs_got.channels, dfs_want.channels) << "seed " << seed;
+    ASSERT_EQ(dfs_got.dependencies, dfs_want.dependencies) << "seed " << seed;
+    ASSERT_EQ(dfs_got.cycle, dfs_want.cycle) << "seed " << seed;
+    past_first_capacity +=
+        dfs_got.dependencies > common::PairSet::kInitialCapacity ? 1u : 0u;
+
+    const auto want = reference::build(t, paths);
+    const auto got = analysis::build_deadlock_certificate(t, paths);
+    ASSERT_EQ(got.deadlock_free, want.deadlock_free) << "seed " << seed;
+    ASSERT_EQ(got.channels, want.channels) << "seed " << seed;
+    ASSERT_EQ(got.dependencies, want.dependencies) << "seed " << seed;
+    ASSERT_EQ(got.topological_order, want.topological_order)
+        << "seed " << seed;
+    ASSERT_EQ(got.cycle, want.cycle) << "seed " << seed;
+    (want.deadlock_free ? acyclic : cyclic) += 1;
+
+    std::vector<std::string> why;
+    ASSERT_TRUE(analysis::check_deadlock(paths, got, &why))
+        << "seed " << seed << ": " << (why.empty() ? "" : why.front());
+    for (const auto& tampered : mutations(want)) {
+      std::vector<std::string> why_want;
+      std::vector<std::string> why_got;
+      const bool ok_want = reference::check(paths, tampered, &why_want);
+      const bool ok_got =
+          analysis::check_deadlock(paths, tampered, &why_got);
+      ASSERT_EQ(ok_got, ok_want) << "seed " << seed;
+      ASSERT_EQ(why_got, why_want) << "seed " << seed;
+      rejected += ok_got ? 0u : 1u;
+    }
+  };
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     common::Rng rng(seed);
     const int switches = 3 + static_cast<int>(rng.below(8));
@@ -600,35 +725,22 @@ TEST(DeadlockCertificate, MatchesTheSetBasedReferenceOnRandomPathSets) {
     const topo::Topology t =
         topo::random_irregular(switches, hosts, extra, rng);
     for (const auto& paths : random_path_sets(t, seed, rng)) {
-      const auto want = reference::build(t, paths);
-      const auto got = analysis::build_deadlock_certificate(t, paths);
-      ASSERT_EQ(got.deadlock_free, want.deadlock_free) << "seed " << seed;
-      ASSERT_EQ(got.channels, want.channels) << "seed " << seed;
-      ASSERT_EQ(got.dependencies, want.dependencies) << "seed " << seed;
-      ASSERT_EQ(got.topological_order, want.topological_order)
-          << "seed " << seed;
-      ASSERT_EQ(got.cycle, want.cycle) << "seed " << seed;
-      (want.deadlock_free ? acyclic : cyclic) += 1;
-
-      std::vector<std::string> why;
-      ASSERT_TRUE(analysis::check_deadlock(paths, got, &why))
-          << "seed " << seed << ": " << (why.empty() ? "" : why.front());
-      for (const auto& tampered : mutations(want)) {
-        std::vector<std::string> why_want;
-        std::vector<std::string> why_got;
-        const bool ok_want = reference::check(paths, tampered, &why_want);
-        const bool ok_got =
-            analysis::check_deadlock(paths, tampered, &why_got);
-        ASSERT_EQ(ok_got, ok_want) << "seed " << seed;
-        ASSERT_EQ(why_got, why_want) << "seed " << seed;
-        rejected += ok_got ? 0u : 1u;
-      }
+      check_set(t, paths, seed);
     }
+  }
+  // Thousands of distinct dependencies on a fabric of over a thousand
+  // wires: the pair set grows several times on the way.
+  const topo::Topology big = topo::torus(24, 24, 1);
+  ASSERT_GE(big.num_wires(), 1000u);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    common::Rng rng(seed);
+    check_set(big, random_channel_pairs(big, 3000, seed % 2 == 0, rng), seed);
   }
   // The sweep must exercise both verdicts and real rejections.
   EXPECT_GT(cyclic, 50u);
   EXPECT_GT(acyclic, 150u);
   EXPECT_GT(rejected, 1000u);
+  EXPECT_EQ(past_first_capacity, 4u);
 }
 
 // ------------------------------------------------------------------- lints

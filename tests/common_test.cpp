@@ -4,12 +4,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/flags.hpp"
+#include "common/pair_set.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "common/stats.hpp"
@@ -37,6 +40,29 @@ TEST(Check, MessageIsIncluded) {
 }
 
 // ------------------------------------------------------------------ rng ----
+
+// ------------------------------------------------------------ PairSet --
+
+TEST(PairSet, AgreesWithStdSetThroughSeveralGrowths) {
+  Rng rng(17);
+  PairSet set;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> reference;
+  // Small ids repeat often; a few extreme ones include the pair whose
+  // packed key is the set's empty-slot marker.
+  const std::uint32_t extremes[] = {0u, 1u, 0xfffffffeu, 0xffffffffu};
+  for (int i = 0; i < 20000; ++i) {
+    std::uint32_t from = static_cast<std::uint32_t>(rng.below(200));
+    std::uint32_t to = static_cast<std::uint32_t>(rng.below(40));
+    if (rng.below(50) == 0) {
+      from = extremes[rng.below(4)];
+      to = extremes[rng.below(4)];
+    }
+    ASSERT_EQ(set.insert(from, to), reference.insert({from, to}).second)
+        << from << " -> " << to;
+  }
+  EXPECT_GT(reference.size(), 8 * PairSet::kInitialCapacity);
+  EXPECT_TRUE(reference.contains({0xffffffffu, 0xffffffffu}));
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123);

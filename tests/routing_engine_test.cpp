@@ -3,9 +3,11 @@
 // the regressions that came with it — SL403 consuming the optimizer's
 // cable plan, the refresh loop surviving an unroutable partial remap, and
 // the snapshot codec's v2 provenance words (optimizer flag round trip,
-// engine word refusal, v1 back-compat).
+// engine word refusal, v1 back-compat) and its route records (any order
+// decodes; the record errors keep their wording).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -395,6 +397,148 @@ TEST(SnapshotCodec, DecodesV1PayloadsWithDefaultProvenance) {
   const service::MapSnapshot decoded = service::decode_snapshot(bytes);
   EXPECT_FALSE(decoded.options.optimize);
   EXPECT_EQ(decoded.routes.routes.size(), snapshot.routes.routes.size());
+}
+
+/// Where the encoded route records start, and each record's raw bytes
+/// (src name, dst name, turn word).
+std::pair<std::size_t, std::vector<std::string>> route_records(
+    const std::string& bytes) {
+  std::size_t pos = engine_word_at(bytes) + 5;
+  pos += 4 + u32_at(bytes, pos);  // map text
+  const std::uint32_t count = u32_at(bytes, pos);
+  pos += 4;
+  const std::size_t first = pos;
+  std::vector<std::string> records;
+  records.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::size_t start = pos;
+    for (int field = 0; field < 3; ++field) {
+      pos += 4 + u32_at(bytes, pos);
+    }
+    records.push_back(bytes.substr(start, pos - start));
+  }
+  return {first, records};
+}
+
+/// The length-prefixed field `index` (0 src, 1 dst, 2 turns) of a record.
+std::string record_field(const std::string& record, int index) {
+  std::size_t pos = 0;
+  for (int field = 0; field < index; ++field) {
+    pos += 4 + u32_at(record, pos);
+  }
+  return record.substr(pos + 4, u32_at(record, pos));
+}
+
+std::string make_record(const std::string& src, const std::string& dst,
+                        const std::string& turns) {
+  std::string record;
+  for (const std::string* field : {&src, &dst, &turns}) {
+    record.append(4, '\0');
+    put_u32(record, record.size() - 4,
+            static_cast<std::uint32_t>(field->size()));
+    record += *field;
+  }
+  return record;
+}
+
+/// `bytes` with its route records replaced by `records`, resealed.
+std::string with_records(std::string bytes, std::size_t first,
+                         const std::vector<std::string>& records) {
+  bytes.resize(first);
+  for (const std::string& record : records) {
+    bytes += record;
+  }
+  reseal(bytes, 2);
+  return bytes;
+}
+
+std::string decode_error(const std::string& bytes) {
+  try {
+    (void)service::decode_snapshot(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "decoded";
+}
+
+TEST(SnapshotCodec, DecodesRoutesStoredOutOfKeyOrder) {
+  // Records normally follow the table's key order, so the decoder holds
+  // each against the next recomputed route; out of order it must fall back
+  // to name lookups and still decode the same snapshot.
+  const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
+  const service::MapSnapshot snapshot =
+      service::build_snapshot(t, {}, common::SimTime::ms(7));
+  const std::string bytes = service::encode_snapshot(snapshot);
+  const auto [first, records] = route_records(bytes);
+  ASSERT_EQ(records.size(), snapshot.routes.routes.size());
+  ASSERT_EQ(service::encode_snapshot(service::decode_snapshot(bytes)), bytes);
+
+  common::Rng rng(3);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::string> permuted = records;
+    if (round == 0) {
+      std::reverse(permuted.begin(), permuted.end());
+    } else if (round == 1) {
+      std::swap(permuted.front(), permuted.back());
+    } else {
+      for (std::size_t i = permuted.size() - 1; i > 0; --i) {
+        std::swap(permuted[i], permuted[rng.below(i + 1)]);
+      }
+    }
+    ASSERT_NE(permuted, records);
+    const service::MapSnapshot decoded =
+        service::decode_snapshot(with_records(bytes, first, permuted));
+    EXPECT_TRUE(decoded.map.structurally_equal(snapshot.map));
+    EXPECT_TRUE(same_tables(decoded.routes, snapshot.routes));
+    EXPECT_EQ(decoded.deadlock_free, snapshot.deadlock_free);
+    EXPECT_EQ(decoded.dependencies, snapshot.dependencies);
+    // Re-encoding writes the key order back: the very bytes of the source.
+    EXPECT_EQ(service::encode_snapshot(decoded), bytes) << "round " << round;
+  }
+}
+
+TEST(SnapshotCodec, RouteRecordErrorsKeepTheirWording) {
+  const topo::Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
+  const std::string bytes = service::encode_snapshot(
+      service::build_snapshot(t, {}, common::SimTime::ms(7)));
+  const auto [first, records] = route_records(bytes);
+  ASSERT_GT(records.size(), 10u);
+  const std::size_t k = 7;
+  const std::string src = record_field(records[k], 0);
+  const std::string dst = record_field(records[k], 1);
+  const std::string turns = record_field(records[k], 2);
+  ASSERT_FALSE(turns.empty());
+
+  // An endpoint the map does not have, at either end.
+  auto edited = records;
+  edited[k] = make_record("nobody", dst, turns);
+  EXPECT_EQ(decode_error(with_records(bytes, first, edited)),
+            "snapshot: route endpoint nobody -> " + dst +
+                " missing from the map");
+  edited[k] = make_record(src, "nobody", turns);
+  EXPECT_EQ(decode_error(with_records(bytes, first, edited)),
+            "snapshot: route endpoint " + src +
+                " -> nobody missing from the map");
+
+  // The record in its own key-order slot, but with a different turn word.
+  std::string other_turns = turns;
+  other_turns[0] = static_cast<char>(other_turns[0] + 1);
+  edited[k] = make_record(src, dst, other_turns);
+  EXPECT_EQ(decode_error(with_records(bytes, first, edited)),
+            "snapshot: stored route " + src + " -> " + dst +
+                " disagrees with this build's router");
+  // The same record out of its slot goes through the name lookup.
+  std::swap(edited[k], edited[0]);
+  EXPECT_EQ(decode_error(with_records(bytes, first, edited)),
+            "snapshot: stored route " + src + " -> " + dst +
+                " disagrees with this build's router");
+
+  // Two known hosts the table has no route between: a host to itself.
+  edited = records;
+  edited[k] = make_record(src, src, turns);
+  EXPECT_EQ(decode_error(with_records(bytes, first, edited)),
+            "snapshot: stored route " + src + " -> " + src +
+                " disagrees with this build's router");
 }
 
 }  // namespace

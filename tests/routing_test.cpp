@@ -324,11 +324,10 @@ TEST(Deadlock, DetectsAHandMadeCycle) {
   // Orient the channels consistently clockwise: channel i goes from
   // switch i to switch i+1. ring() wires port 0 (cw) to port 1, and wire
   // endpoints are (i, 0)-(i+1, 1), so a_to_b is clockwise already.
-  std::vector<std::vector<Channel>> paths = {
-      {ring_channels[0], ring_channels[1]},
-      {ring_channels[1], ring_channels[2]},
-      {ring_channels[2], ring_channels[0]},
-  };
+  ChannelPaths paths;
+  paths.add({ring_channels[0], ring_channels[1]});
+  paths.add({ring_channels[1], ring_channels[2]});
+  paths.add({ring_channels[2], ring_channels[0]});
   const auto analysis = analyze_channel_paths(t, paths);
   EXPECT_FALSE(analysis.deadlock_free);
   EXPECT_GE(analysis.cycle.size(), 3u);
@@ -340,8 +339,9 @@ TEST(Deadlock, AcyclicPathsPass) {
   for (const topo::WireId w : t.wires()) {
     channels.push_back(Channel{w, true});
   }
-  const std::vector<std::vector<Channel>> paths = {
-      {channels[0], channels[1]}, {channels[1], channels[2]}};
+  ChannelPaths paths;
+  paths.add({channels[0], channels[1]});
+  paths.add({channels[1], channels[2]});
   EXPECT_TRUE(analyze_channel_paths(t, paths).deadlock_free);
 }
 

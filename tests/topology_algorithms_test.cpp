@@ -2,6 +2,13 @@
 // the core N - F, and Q / search depth (paper Definitions 2-3, Lemma 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "topology/algorithms.hpp"
 #include "topology/generators.hpp"
@@ -247,6 +254,111 @@ TEST(SwitchFarthestFromHosts, IgnoreListExcludesUtilityHost) {
   t.connect(util, 0, s2, 0);
   EXPECT_EQ(switch_farthest_from_hosts(t), s1);
   EXPECT_EQ(switch_farthest_from_hosts(t, {util}), s2);
+}
+
+/// The root search as one BFS per counted host, each folded into a
+/// running per-node minimum: the reference the multi-source search must
+/// match root for root.
+std::optional<NodeId> per_host_bfs_root(const Topology& t,
+                                        const std::vector<NodeId>& ignore) {
+  std::vector<int> min_dist(t.node_capacity(),
+                            std::numeric_limits<int>::max());
+  for (const NodeId h : t.hosts()) {
+    if (std::find(ignore.begin(), ignore.end(), h) != ignore.end()) {
+      continue;
+    }
+    const auto dist = bfs_distances(t, h);
+    for (NodeId v = 0; v < dist.size(); ++v) {
+      if (dist[v] >= 0) {
+        min_dist[v] = std::min(min_dist[v], dist[v]);
+      }
+    }
+  }
+  std::optional<NodeId> best;
+  int best_dist = -1;
+  for (const NodeId s : t.switches()) {
+    if (min_dist[s] != std::numeric_limits<int>::max() &&
+        min_dist[s] > best_dist) {
+      best_dist = min_dist[s];
+      best = s;
+    }
+  }
+  return best;
+}
+
+TEST(Algorithms, SwitchFarthestFromHostsMatchesPerHostBfs) {
+  std::vector<Topology> fabrics = {
+      star(4, 2),        ring(6, 1),   mesh(4, 3, 1),
+      torus(4, 4, 1),    hypercube(4, 1),
+      fat_tree({}),      multi_pod({}),
+      now_system(NowSystem::kC), now_system(NowSystem::kCAB)};
+  common::Rng rng(42);
+  for (int i = 0; i < 240; ++i) {
+    const int switches = 3 + static_cast<int>(rng.below(8));
+    const int hosts = 1 + static_cast<int>(rng.below(7));
+    const int extra = static_cast<int>(rng.below(6));
+    Topology t = random_irregular(switches, hosts, extra, rng);
+    if (i % 3 == 1) {
+      // Cut nodes out: leaves tombstones and, often, several components.
+      const auto nodes = t.nodes();
+      for (std::size_t k = 0; k < 1 + rng.below(3); ++k) {
+        const NodeId victim = rng.pick(nodes);
+        if (t.node_alive(victim)) {
+          t.remove_node(victim);
+        }
+      }
+    } else if (i % 3 == 2) {
+      // A second, disjoint fabric beside the first.
+      const NodeId s = t.add_switch();
+      const NodeId h = t.add_host("island" + std::to_string(fabrics.size()));
+      t.connect(h, 0, s, 0);
+      NodeId prev = s;
+      for (int k = 0; k < 1 + static_cast<int>(rng.below(4)); ++k) {
+        const NodeId next = t.add_switch();
+        t.connect_any(prev, next);
+        prev = next;
+      }
+    }
+    fabrics.push_back(std::move(t));
+  }
+  ASSERT_GE(fabrics.size(), 200u);
+
+  std::size_t compared = 0;
+  std::size_t with_ignore = 0;
+  std::size_t none_reachable = 0;
+  for (std::size_t f = 0; f < fabrics.size(); ++f) {
+    const Topology& t = fabrics[f];
+    const auto hosts = t.hosts();
+    std::vector<std::vector<NodeId>> ignore_lists = {{}};
+    if (!hosts.empty()) {
+      ignore_lists.push_back({rng.pick(hosts)});
+      std::vector<NodeId> some;
+      for (const NodeId h : hosts) {
+        if (rng.below(2) == 0) {
+          some.push_back(h);
+        }
+      }
+      ignore_lists.push_back(some);
+      ignore_lists.push_back(hosts);  // nothing left to measure from
+    }
+    for (const auto& ignore : ignore_lists) {
+      const std::optional<NodeId> want = per_host_bfs_root(t, ignore);
+      if (want) {
+        ASSERT_EQ(switch_farthest_from_hosts(t, ignore), *want)
+            << "fabric " << f << ", " << ignore.size() << " ignored";
+        ++compared;
+        with_ignore += ignore.empty() ? 0u : 1u;
+      } else {
+        EXPECT_THROW((void)switch_farthest_from_hosts(t, ignore),
+                     common::CheckFailure)
+            << "fabric " << f;
+        ++none_reachable;
+      }
+    }
+  }
+  EXPECT_GE(compared, 400u);
+  EXPECT_GE(with_ignore, 200u);
+  EXPECT_GE(none_reachable, 200u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // port bookkeeping, dynamic reconfiguration (tombstones), compaction.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.hpp"
 #include "topology/topology.hpp"
 
@@ -198,6 +200,60 @@ TEST(Topology, AccessDeadNodeThrows) {
   t.remove_node(s);
   EXPECT_THROW((void)t.kind(s), CheckFailure);
   EXPECT_THROW((void)t.neighbors(s), CheckFailure);
+}
+
+/// The what() of the CheckFailure `access` throws, with its
+/// " at <file>:<line>" location cut out; the location's file is checked.
+template <typename Access>
+std::string check_text(Access access) {
+  try {
+    access();
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find(") at ");
+    const std::size_t dash = what.find(" — ", at);
+    if (at == std::string::npos || dash == std::string::npos) {
+      return what;
+    }
+    EXPECT_NE(what.substr(at, dash - at).find("topology.cpp:"),
+              std::string::npos)
+        << what;
+    return what.substr(0, at + 1) + what.substr(dash);
+  }
+  return "no throw";
+}
+
+TEST(Topology, DeadIdsStillThrowTheSameMessage) {
+  // The accessors are inline now; a failed id check must still throw the
+  // text it threw out of line: the checked expression, then the message.
+  Topology t;
+  const NodeId s0 = t.add_switch();
+  const NodeId s1 = t.add_switch();
+  const NodeId h = t.add_host("h");
+  t.connect(h, 0, s0, 0);
+  const WireId w = t.connect(s0, 1, s1, 1);
+  t.remove_node(s1);  // s1 and wire w are now dead
+  const std::string node_expr =
+      "SANMAP_CHECK failed: (n < nodes_.size() && nodes_[n].alive) — ";
+  const std::string wire_expr =
+      "SANMAP_CHECK failed: (w < wires_.size() && wires_[w].alive) — ";
+  for (const NodeId n : {s1, NodeId{99}}) {
+    const std::string want = node_expr + "invalid or dead node id " +
+                             std::to_string(n);
+    EXPECT_EQ(check_text([&] { (void)t.name(n); }), want);
+    EXPECT_EQ(check_text([&] { (void)t.kind(n); }), want);
+    EXPECT_EQ(check_text([&] { (void)t.is_host(n); }), want);
+    EXPECT_FALSE(t.node_alive(n));
+  }
+  for (const WireId x : {w, WireId{99}}) {
+    EXPECT_EQ(check_text([&] { (void)t.wire(x); }),
+              wire_expr + "invalid or dead wire id " + std::to_string(x));
+    EXPECT_FALSE(t.wire_alive(x));
+  }
+  // Live ids still answer.
+  EXPECT_EQ(t.name(h), "h");
+  EXPECT_EQ(t.kind(s0), NodeKind::kSwitch);
+  EXPECT_EQ(t.wire(*t.wire_at(h, 0)).b.node, s0);
 }
 
 TEST(Topology, LiveListsSkipTombstones) {

@@ -250,11 +250,15 @@ TEST(KahnDetector, FlagsAHandBuiltCycle) {
   const routing::Channel a{0, true};
   const routing::Channel b{1, true};
   const routing::Channel c{2, true};
-  const std::vector<std::vector<routing::Channel>> cyclic = {
-      {a, b}, {b, c}, {c, a}};
+  routing::ChannelPaths cyclic;
+  cyclic.add({a, b});
+  cyclic.add({b, c});
+  cyclic.add({c, a});
   EXPECT_FALSE(channel_paths_acyclic(cyclic));
-  const std::vector<std::vector<routing::Channel>> acyclic = {
-      {a, b}, {a, c}, {b, c}};
+  routing::ChannelPaths acyclic;
+  acyclic.add({a, b});
+  acyclic.add({a, c});
+  acyclic.add({b, c});
   EXPECT_TRUE(channel_paths_acyclic(acyclic));
   EXPECT_TRUE(channel_paths_acyclic({}));  // no routes, no deadlock
 }
