@@ -1,10 +1,7 @@
-// §6 future-work extensions, quantified: the four mapping strategies side
-// by side on the C / C+A / C+A+B systems.
+// §6 future-work extensions, quantified: three mapping strategies side by
+// side on the C / C+A / C+A+B systems.
 //
 //   Berkeley    — the paper's algorithm on stock hardware (the baseline);
-//   Randomized  — coupon-collecting wild probes + BFS completion
-//                 (Vazirani's suggestion; needs the hit-a-host-too-soon
-//                 firmware change);
 //   Myricom     — the firmware mapper of §4 (stock hardware);
 //   Identity    — self-identifying switches (§6's architectural support;
 //                 identities are free, but port alignment still costs a
@@ -15,24 +12,20 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "mapper/id_mapper.hpp"
-#include "mapper/randomized_mapper.hpp"
 #include "myricom/myricom_mapper.hpp"
 
 int main() {
   using namespace sanmap;
-  std::cout << "=== §6 extensions: four mapping strategies ===\n";
-  common::Table table({"System", "strategy", "probes", "of which wild/align",
+  std::cout << "=== §6 extensions: three mapping strategies ===\n";
+  common::Table table({"System", "strategy", "probes", "of which comp/align",
                        "time (ms)", "map"});
   for (const auto system :
        {topo::NowSystem::kC, topo::NowSystem::kCA, topo::NowSystem::kCAB}) {
     const topo::Topology network = topo::now_system(system);
     const topo::NodeId mapper_host = bench::mapper_host_of(network);
-    const topo::Topology expected_core = topo::core(network);
-    const int depth = topo::search_depth(network, mapper_host);
 
     simnet::HardwareExtensions ext;
     ext.self_identifying_switches = true;
-    ext.hosts_answer_early_hits = true;
 
     {  // Berkeley (baseline)
       const auto result = bench::run_berkeley(network);
@@ -40,21 +33,6 @@ int main() {
                      std::to_string(result.probes.total()), "-",
                      common::fmt(result.elapsed.to_ms(), 0),
                      bench::verify(network, result)});
-    }
-    {  // Randomized
-      simnet::Network net(network, simnet::CollisionModel::kCutThrough,
-                          simnet::CostModel{}, simnet::FaultModel{}, 1, ext);
-      probe::ProbeEngine engine(net, mapper_host);
-      mapper::RandomizedConfig config;
-      config.base.search_depth = depth;
-      config.wild_probes = static_cast<int>(network.num_hosts()) * 4;
-      const auto result = mapper::RandomizedMapper(engine, config).run();
-      table.add_row(
-          {topo::to_string(system), "Randomized (wild+BFS)",
-           std::to_string(result.probes.total()),
-           std::to_string(result.probes.wild_probes) + " wild",
-           common::fmt(result.elapsed.to_ms(), 0),
-           topo::isomorphic(result.map, expected_core) ? "ok" : "WRONG"});
     }
     {  // Myricom
       simnet::Network net(network);
@@ -82,7 +60,7 @@ int main() {
     table.add_rule();
   }
   std::cout << table
-            << "\nNotes: Berkeley/Randomized map N - F (host-anchored "
+            << "\nNotes: Berkeley maps N - F (host-anchored "
                "merging); Myricom/Identity map all of N (identity needs no "
                "hosts). Identity still pays alignment probes per cross "
                "link — §6's point that self-identification alone does not "

@@ -71,22 +71,37 @@ std::string Flags::get(const std::string& name) const {
   return it->second.value.value_or(it->second.default_value);
 }
 
+// The whole value must parse: a prefix that happens to parse ("3x",
+// "1.5" as an integer) must not silently change an experiment. A failed
+// parse leaves `used` at 0, which no successful parse does.
 std::int64_t Flags::get_int(const std::string& name) const {
   const std::string v = get(name);
+  std::size_t used = 0;
+  std::int64_t parsed = 0;
   try {
-    return std::stoll(v);
+    parsed = std::stoll(v, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v.size()) {
     throw std::runtime_error("flag --" + name + " is not an integer: " + v);
   }
+  return parsed;
 }
 
 double Flags::get_double(const std::string& name) const {
   const std::string v = get(name);
+  std::size_t used = 0;
+  double parsed = 0.0;
   try {
-    return std::stod(v);
+    parsed = std::stod(v, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v.size()) {
     throw std::runtime_error("flag --" + name + " is not a number: " + v);
   }
+  return parsed;
 }
 
 bool Flags::get_bool(const std::string& name) const {

@@ -1,7 +1,7 @@
 // The BFS exploration engine shared by the Berkeley mapper and the
-// randomized (§6) mapper: a FIFO frontier of switch vertices, each explored
-// by probing its feasible turns, with vertex merging interleaved (§3.3) and
-// the probe-elimination heuristics applied.
+// incremental mapper's repair pass: a FIFO frontier of switch vertices,
+// each explored by probing its feasible turns, with vertex merging
+// interleaved (§3.3) and the probe-elimination heuristics applied.
 //
 // With MapperConfig::pipeline_window >= 2 the explorer runs in
 // batched-frontier mode: a vertex's turn probes are issued speculatively
@@ -37,25 +37,15 @@ class Explorer {
   /// Enqueues a switch vertex for exploration.
   void push(VertexId v) { frontier_.push_back(v); }
 
-  [[nodiscard]] std::size_t pending() const {
-    return frontier_.size() - head_;
-  }
-
   /// Drains the frontier, exploring every live, unexplored switch vertex
   /// within the search depth. Accumulates counters and (optionally) the
   /// Figure 8 trace into `result`.
   void run(MapResult& result);
 
-  /// Pipeline telemetry (nullopt in serial mode).
-  [[nodiscard]] std::optional<probe::ProbePipeline::Stats> pipeline_stats()
-      const {
-    if (!pipeline_) {
-      return std::nullopt;
-    }
-    return pipeline_->stats();
-  }
-
  private:
+  [[nodiscard]] std::size_t pending() const {
+    return frontier_.size() - head_;
+  }
   void explore_vertex(VertexId v, MapResult& result);
   /// One combined probe, through the window when batched.
   probe::Response issue_probe(const simnet::Route& prefix);

@@ -104,14 +104,10 @@ const Vertex& ModelGraph::vertex(VertexId v) const {
   return vertices_[v];
 }
 
-const Edge& ModelGraph::edge(EdgeId e) const {
-  SANMAP_CHECK(e < edges_.size());
-  return edges_[e];
-}
-
 std::pair<VertexId, int> ModelGraph::far_end(EdgeId e, VertexId v,
                                              int i) const {
-  const Edge& rec = edge(e);
+  SANMAP_CHECK(e < edges_.size());
+  const Edge& rec = edges_[e];
   const int end = rec.end_of(v, i);
   return {rec.vertex[1 - end], rec.index[1 - end]};
 }

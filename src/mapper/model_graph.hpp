@@ -173,7 +173,6 @@ class ModelGraph {
   [[nodiscard]] Resolved resolve(VertexId v) const;
   [[nodiscard]] bool vertex_alive(VertexId v) const;
   [[nodiscard]] const Vertex& vertex(VertexId v) const;
-  [[nodiscard]] const Edge& edge(EdgeId e) const;
 
   /// The far (vertex, index) of an edge as seen from (v, i).
   [[nodiscard]] std::pair<VertexId, int> far_end(EdgeId e, VertexId v,

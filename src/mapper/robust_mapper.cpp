@@ -47,8 +47,6 @@ void accumulate(probe::ProbeCounters& into,
   into.host_hits += from.host_hits;
   into.switch_probes += from.switch_probes;
   into.switch_hits += from.switch_hits;
-  into.wild_probes += from.wild_probes;
-  into.wild_hits += from.wild_hits;
 }
 
 }  // namespace

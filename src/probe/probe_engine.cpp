@@ -167,54 +167,6 @@ std::optional<topo::NodeId> ProbeEngine::identifying_switch_probe(
   return result->bounce_switch;
 }
 
-std::optional<ProbeEngine::WildResponse> ProbeEngine::wild_probe(
-    const simnet::Route& route) {
-  SANMAP_CHECK_MSG(net_->extensions().hosts_answer_early_hits,
-                   "wild_probe needs the hit-a-host-too-soon firmware "
-                   "change (simnet::HardwareExtensions)");
-  const auto& cost = net_->cost();
-  // Any host the worm reaches reads it — even too soon. Reaching a
-  // non-participating host still ends the retry loop: resending cannot wake
-  // a daemon that is not running.
-  const auto result = send_with_retries(
-      route, counters_.wild_probes, [](const simnet::DeliveryResult& r) {
-        return r.status == simnet::DeliveryStatus::kDelivered ||
-               r.status == simnet::DeliveryStatus::kHitHostTooSoon;
-      });
-  if (!result) {
-    // Every rejected attempt was already charged send_overhead +
-    // probe_timeout by the retry loop; there is no further cost to add.
-    if (options_.record_transcript) {
-      transcript_.push_back(TranscriptEntry{route, 'w', false, {}});
-    }
-    return std::nullopt;
-  }
-  if (!participates(result->destination)) {
-    // The worm reached a host with no daemon: the attempt was accepted by
-    // the retry loop (and therefore not charged), the message is consumed
-    // unanswered, and the mapper waits out one full timeout. The transcript
-    // records the network-level outcome — the route does reach that host —
-    // so a replay against an all-answering quiescent network agrees.
-    if (options_.record_transcript) {
-      transcript_.push_back(TranscriptEntry{
-          route, 'w', true, net_->topology().name(result->destination)});
-    }
-    charge_probe(cost.send_overhead + cost.probe_timeout);
-    return std::nullopt;
-  }
-  if (options_.record_transcript) {
-    transcript_.push_back(TranscriptEntry{
-        route, 'w', true, net_->topology().name(result->destination)});
-  }
-  ++counters_.wild_hits;
-  charge_probe(cost.send_overhead + result->latency + cost.receive_overhead +
-               cost.send_overhead + result->latency + cost.receive_overhead);
-  // The message path visited hops wires; the host sits after consuming
-  // hops - 1 turns (the first wire leaves the mapper before any turn).
-  return WildResponse{net_->topology().name(result->destination),
-                      result->hops - 1};
-}
-
 std::optional<std::string> ProbeEngine::host_probe(
     const simnet::Route& prefix) {
   const auto& cost = net_->cost();
@@ -230,9 +182,9 @@ std::optional<std::string> ProbeEngine::host_probe(
   const topo::NodeId host = result->destination;
   if (!participates(host)) {
     // No mapper daemon is running there; the message is consumed and never
-    // answered. As with wild probes, the transcript records that the route
-    // reaches this host (the network-level outcome a replay must
-    // reproduce), not the session-level silence.
+    // answered. The transcript records that the route reaches this host
+    // (the network-level outcome a replay must reproduce), not the
+    // session-level silence.
     if (options_.record_transcript) {
       transcript_.push_back(
           TranscriptEntry{prefix, 'h', true, net_->topology().name(host)});
@@ -324,18 +276,6 @@ bool transcript_replays(const std::vector<TranscriptEntry>& transcript,
       }
       case 'h': {
         const bool hit = result.delivered();
-        if (hit != entry.answered) {
-          return false;
-        }
-        if (hit && topo.name(result.destination) != entry.response) {
-          return false;
-        }
-        break;
-      }
-      case 'w': {
-        const bool hit =
-            result.status == simnet::DeliveryStatus::kDelivered ||
-            result.status == simnet::DeliveryStatus::kHitHostTooSoon;
         if (hit != entry.answered) {
           return false;
         }

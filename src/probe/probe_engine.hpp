@@ -65,7 +65,7 @@ struct ProbeOptions {
   /// mapping-under-traffic problem.
   ///
   /// The retry contract, identical for every probe category (switch, host,
-  /// echo, identifying, wild): a logical probe makes `retries + 1` total
+  /// echo, identifying): a logical probe makes `retries + 1` total
   /// attempts, stopping at the first answered one. Each attempt counts as a
   /// sent probe; every *failed* attempt is charged send_overhead +
   /// probe_timeout, and the answered attempt (if any) is charged its real
@@ -111,13 +111,13 @@ struct ProbeOptions {
 };
 
 /// One recorded probe. `category` is 's' (switch/loopback), 'h' (host),
-/// 'e' (echo/comparison), 'i' (identifying), or 'w' (wild). One entry is
+/// 'e' (echo/comparison) or 'i' (identifying). One entry is
 /// recorded per *logical* probe with its final outcome — retried attempts
 /// are not recorded individually (a transcript is a statement about the
 /// network, not about the retry schedule). For the same reason `answered`
 /// records the *network-level* outcome: whether the route finds a
 /// responder on a quiescent network with every host answering (hardware
-/// loopback for s/e/i, a live host for h/w). A probe consumed by a
+/// loopback for s/e/i, a live host for h). A probe consumed by a
 /// non-participating host therefore records answered=true with the host's
 /// name even though the session saw silence — participation is session
 /// state, not network state, and transcript_replays is documented to
@@ -126,7 +126,7 @@ struct TranscriptEntry {
   simnet::Route route;
   char category = '?';
   bool answered = false;
-  std::string response;  // host name (h/w) when answered
+  std::string response;  // host name (h) when answered
 };
 
 struct ProbeCounters {
@@ -134,19 +134,15 @@ struct ProbeCounters {
   std::uint64_t host_hits = 0;
   std::uint64_t switch_probes = 0;
   std::uint64_t switch_hits = 0;
-  /// §6 extensions: wild probes (randomized mapping) and identifying
-  /// switch-probes.
-  std::uint64_t wild_probes = 0;
-  std::uint64_t wild_hits = 0;
 
   friend bool operator==(const ProbeCounters&, const ProbeCounters&) =
       default;
 
   [[nodiscard]] std::uint64_t total() const {
-    return host_probes + switch_probes + wild_probes;
+    return host_probes + switch_probes;
   }
   [[nodiscard]] std::uint64_t hits() const {
-    return host_hits + switch_hits + wild_hits;
+    return host_hits + switch_hits;
   }
   [[nodiscard]] double host_ratio() const {
     return host_probes == 0
@@ -189,19 +185,6 @@ class ProbeEngine {
   /// HardwareExtensions::self_identifying_switches.
   std::optional<topo::NodeId> identifying_switch_probe(
       const simnet::Route& prefix);
-
-  /// §6 extension: a "wild" probe for randomized mapping. The route is
-  /// fired as-is; any host it reaches — including one hit with routing
-  /// flits remaining — reads the message and answers with its name and the
-  /// number of turns that were consumed getting there. Requires
-  /// HardwareExtensions::hosts_answer_early_hits.
-  struct WildResponse {
-    std::string host_name;
-    /// Turns consumed before arrival: the message used the route prefix
-    /// route[0 .. consumed_turns).
-    int consumed_turns = 0;
-  };
-  std::optional<WildResponse> wild_probe(const simnet::Route& route);
 
   [[nodiscard]] topo::NodeId mapper_host() const { return mapper_host_; }
   [[nodiscard]] const ProbeCounters& counters() const { return counters_; }

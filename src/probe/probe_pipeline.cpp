@@ -72,14 +72,6 @@ bool ProbePipeline::echo_probe(const simnet::Route& route) {
   return hit;
 }
 
-std::optional<ProbeEngine::WildResponse> ProbePipeline::wild_probe(
-    const simnet::Route& route) {
-  const common::SimTime before = engine_->elapsed();
-  auto wild = engine_->wild_probe(route);
-  admit(before, engine_->elapsed() - before, std::nullopt);
-  return wild;
-}
-
 Response ProbePipeline::probe(const simnet::Route& prefix) {
   // Mirrors ProbeEngine::probe leg for leg (same primitives, same order,
   // same short-circuits), so counters and transcript are identical; only

@@ -51,7 +51,7 @@ namespace sanmap::probe {
 class ProbePipeline {
  public:
   struct Stats {
-    /// Probe legs admitted to the window (one per switch/host/echo/wild
+    /// Probe legs admitted to the window (one per switch/host/echo
     /// message group, i.e. per ProbeEngine primitive call).
     std::uint64_t legs = 0;
     /// Legs that were chained behind a response (serial decision points).
@@ -76,8 +76,6 @@ class ProbePipeline {
   bool switch_probe(const simnet::Route& prefix);
   std::optional<std::string> host_probe(const simnet::Route& prefix);
   bool echo_probe(const simnet::Route& route);
-  std::optional<ProbeEngine::WildResponse> wild_probe(
-      const simnet::Route& route);
 
   /// Completes every outstanding probe: the engine's clock is set to the
   /// batch's event-queue makespan (replacing the serial sum accumulated

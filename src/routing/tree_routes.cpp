@@ -80,16 +80,7 @@ RoutingResult compute_tree_routes(const topo::Topology& topo,
         route.nodes.push_back(at);
       }
       SANMAP_CHECK(route.nodes.back() == dst);
-      // Emit the relative turn sequence (§2.2).
-      for (std::size_t h = 1; h < route.wires.size(); ++h) {
-        const topo::NodeId sw = route.nodes[h];
-        const topo::Port in_port =
-            topo.wire(route.wires[h - 1]).opposite(route.nodes[h - 1]).port;
-        const topo::Wire& out_wire = topo.wire(route.wires[h]);
-        const topo::Port out_port =
-            out_wire.a.node == sw ? out_wire.a.port : out_wire.b.port;
-        route.turns.push_back(out_port - in_port);
-      }
+      recompute_turns(topo, route);
       result.routes.emplace(std::make_pair(src, dst), std::move(route));
     }
   }

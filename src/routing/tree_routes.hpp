@@ -6,8 +6,8 @@
 // All traffic follows a single BFS tree — up to the lowest common ancestor,
 // then down. This is UP*/DOWN* restricted to tree edges, hence trivially
 // deadlock-free, but it ignores every redundant link, so path lengths and
-// especially channel congestion are worse; bench_ext_routing quantifies
-// the gap.
+// especially channel congestion are worse; bench_routing's spanning-tree
+// rows quantify the gap.
 #pragma once
 
 #include "routing/routes.hpp"

@@ -99,10 +99,6 @@ struct HardwareExtensions {
   /// ("architectural support for self-identifying switches"). When false,
   /// probe layers must not look at DeliveryResult::bounce_switch.
   bool self_identifying_switches = false;
-  /// Hosts read and answer messages that HIT A HOST TOO SOON instead of
-  /// discarding them (the firmware change §6 proposes for randomized
-  /// mapping), reporting how many routing flits were consumed.
-  bool hosts_answer_early_hits = false;
 };
 
 /// Fault / cross-traffic injection knobs. All probabilities in [0, 1].

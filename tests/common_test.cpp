@@ -338,6 +338,27 @@ TEST(Flags, MalformedNumberThrows) {
   EXPECT_THROW((void)flags.get_int("n"), std::runtime_error);
 }
 
+TEST(Flags, NumericPrefixIsNotANumber) {
+  Flags flags;
+  flags.define("dim", "3", "dim");
+  flags.define("hosts", "2", "hosts");
+  flags.define("rate", "0.5", "rate");
+  flags.define("empty", "", "empty");
+  const char* argv[] = {"prog", "--dim", "3x", "--hosts", "1.5", "--rate",
+                        "0.25ms"};
+  ASSERT_TRUE(flags.parse(7, argv));
+  EXPECT_THROW((void)flags.get_int("dim"), std::runtime_error);
+  EXPECT_THROW((void)flags.get_int("hosts"), std::runtime_error);
+  EXPECT_THROW((void)flags.get_double("rate"), std::runtime_error);
+  EXPECT_THROW((void)flags.get_int("empty"), std::runtime_error);
+  EXPECT_THROW((void)flags.get_double("empty"), std::runtime_error);
+  try {
+    (void)flags.get_int("dim");
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "flag --dim is not an integer: 3x");
+  }
+}
+
 // ------------------------------------------------------------- sim time ----
 
 TEST(SimTime, UnitConversions) {

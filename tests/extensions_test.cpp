@@ -1,11 +1,9 @@
 // Tests for the §6 future-work extensions: hardware extension plumbing,
-// wild probes, self-identifying switch probes, the randomized
-// (coupon-collecting) mapper, and the self-identifying-switch mapper.
+// self-identifying switch probes, and the self-identifying-switch mapper.
 #include <gtest/gtest.h>
 
 #include "mapper/berkeley_mapper.hpp"
 #include "mapper/id_mapper.hpp"
-#include "mapper/randomized_mapper.hpp"
 #include "probe/probe_engine.hpp"
 #include "simnet/network.hpp"
 #include "topology/algorithms.hpp"
@@ -26,7 +24,6 @@ using topo::Topology;
 Network extended_net(const Topology& t) {
   HardwareExtensions ext;
   ext.self_identifying_switches = true;
-  ext.hosts_answer_early_hits = true;
   return Network(t, CollisionModel::kCutThrough, simnet::CostModel{},
                  simnet::FaultModel{}, 1, ext);
 }
@@ -46,41 +43,6 @@ struct Line {
     topo.connect(s1, 4, h1, 0);
   }
 };
-
-// ---------------------------------------------------------- wild probes ----
-
-TEST(WildProbe, RequiresFirmwareExtension) {
-  Line line;
-  Network plain(line.topo);
-  ProbeEngine engine(plain, line.h0);
-  EXPECT_THROW((void)engine.wild_probe(Route{3, 3}), common::CheckFailure);
-}
-
-TEST(WildProbe, ReportsConsumedTurnsOnEarlyHit) {
-  Line line;
-  Network net = extended_net(line.topo);
-  ProbeEngine engine(net, line.h0);
-  // +3 +3 reaches h1 exactly; extra garbage turns would be unconsumed.
-  const auto exact = engine.wild_probe(Route{3, 3});
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_EQ(exact->host_name, "h1");
-  EXPECT_EQ(exact->consumed_turns, 2);
-
-  const auto early = engine.wild_probe(Route{3, 3, 7, -2, 5});
-  ASSERT_TRUE(early.has_value());
-  EXPECT_EQ(early->host_name, "h1");
-  EXPECT_EQ(early->consumed_turns, 2);  // hit h1 with 3 flits remaining
-}
-
-TEST(WildProbe, DeadRoutesReturnNothing) {
-  Line line;
-  Network net = extended_net(line.topo);
-  ProbeEngine engine(net, line.h0);
-  EXPECT_EQ(engine.wild_probe(Route{6, 1, 1}), std::nullopt);  // illegal turn
-  EXPECT_EQ(engine.wild_probe(Route{3}), std::nullopt);        // stranded
-  EXPECT_EQ(engine.counters().wild_probes, 2u);
-  EXPECT_EQ(engine.counters().wild_hits, 0u);
-}
 
 // ------------------------------------------- identifying switch probes ----
 
@@ -109,79 +71,6 @@ TEST(IdentifyingProbe, EchoProbeCountsAsSwitchCategory) {
   EXPECT_FALSE(engine.echo_probe(Route{1, 1, 1}));
   EXPECT_EQ(engine.counters().switch_probes, 2u);
   EXPECT_EQ(engine.counters().switch_hits, 1u);
-}
-
-// ------------------------------------------------------ randomized mapper --
-
-RandomizedConfig randomized_config(const Topology& t, NodeId mapper,
-                                   int wild, std::uint64_t seed) {
-  RandomizedConfig config;
-  config.base.search_depth = topo::search_depth(t, mapper);
-  config.wild_probes = wild;
-  config.seed = seed;
-  return config;
-}
-
-TEST(RandomizedMapper, MapsSubclusterC) {
-  const Topology t = topo::now_subcluster(topo::Subcluster::kC, "C");
-  const NodeId mapper = *t.find_host("C.util");
-  Network net = extended_net(t);
-  ProbeEngine engine(net, mapper);
-  const auto result =
-      RandomizedMapper(engine, randomized_config(t, mapper, 150, 3)).run();
-  EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)));
-  EXPECT_GT(result.probes.wild_probes, 0u);
-  EXPECT_GT(result.probes.wild_hits, 0u);
-}
-
-TEST(RandomizedMapper, ZeroWildProbesDegradesToBerkeley) {
-  const Topology t = topo::star(3, 2);
-  const NodeId mapper = t.hosts().front();
-  Network net = extended_net(t);
-  ProbeEngine engine(net, mapper);
-  const auto result =
-      RandomizedMapper(engine, randomized_config(t, mapper, 0, 3)).run();
-  EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)));
-  EXPECT_EQ(result.probes.wild_probes, 0u);
-}
-
-TEST(RandomizedMapper, SeedSweepAlwaysCorrect) {
-  common::Rng rng(404);
-  for (int trial = 0; trial < 6; ++trial) {
-    common::Rng topo_rng(rng.next());
-    const Topology t = topo::random_irregular(8, 8, 4, topo_rng);
-    const NodeId mapper = t.hosts().front();
-    Network net = extended_net(t);
-    ProbeEngine engine(net, mapper);
-    const auto result =
-        RandomizedMapper(engine,
-                         randomized_config(t, mapper, 100, rng.next()))
-            .run();
-    EXPECT_TRUE(topo::isomorphic(result.map, topo::core(t)))
-        << "trial " << trial;
-  }
-}
-
-TEST(RandomizedMapper, WildPhaseReducesDirectedProbes) {
-  // The coupon phase pre-identifies much of the core, so the BFS phase
-  // needs fewer host/switch probe pairs than pure Berkeley.
-  const Topology t = topo::now_system(topo::NowSystem::kCAB);
-  const NodeId mapper = *t.find_host("C.util");
-
-  Network net1 = extended_net(t);
-  ProbeEngine engine1(net1, mapper);
-  MapperConfig base;
-  base.search_depth = topo::search_depth(t, mapper);
-  const auto berkeley = BerkeleyMapper(engine1, base).run();
-
-  Network net2 = extended_net(t);
-  ProbeEngine engine2(net2, mapper);
-  const auto randomized =
-      RandomizedMapper(engine2, randomized_config(t, mapper, 400, 5)).run();
-
-  EXPECT_TRUE(topo::isomorphic(randomized.map, berkeley.map));
-  EXPECT_LT(randomized.probes.host_probes + randomized.probes.switch_probes,
-            berkeley.probes.host_probes + berkeley.probes.switch_probes);
 }
 
 // -------------------------------------------------------------- id mapper --

@@ -77,8 +77,7 @@ std::string digest(const verify::ScenarioCase& c, int window) {
   os << "case " << c.name << " window " << window << "\n";
   const probe::ProbeCounters& pc = result.probes;
   os << "counters " << pc.host_probes << ' ' << pc.host_hits << ' '
-     << pc.switch_probes << ' ' << pc.switch_hits << ' ' << pc.wild_probes
-     << ' ' << pc.wild_hits << "\n";
+     << pc.switch_probes << ' ' << pc.switch_hits << "\n";
   os << "elapsed_ns " << result.elapsed.to_ns() << "\n";
   os << "explorations " << result.explorations << " merges " << result.merges
      << " pruned " << result.pruned << " peak " << result.peak_model_vertices

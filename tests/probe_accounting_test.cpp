@@ -1,20 +1,21 @@
 // Exact probe-clock accounting: every probe category (switch, host, echo,
-// identifying, wild) crossed with every outcome (answered, timeout,
-// retries, non-participating target) asserts the precise elapsed() value
-// on the virtual clock, to the nanosecond.
+// identifying) crossed with every outcome (answered, timeout, retries,
+// non-participating target) asserts the precise elapsed() value on the
+// virtual clock, to the nanosecond.
 //
 // This suite pins the engine's charge taxonomy:
 //
 //  * an answered probe costs send_overhead + latency + receive_overhead
-//    per round trip (host and wild probes make two trips — the reply
-//    retraces the path);
+//    per round trip (host probes make two trips — the reply retraces the
+//    path);
 //  * every rejected attempt in the retry loop costs send_overhead +
 //    probe_timeout, and a probe with retries = r makes r + 1 attempts;
-//  * a probe that *reaches* a non-participating host is accepted by the
-//    network (resending cannot wake a daemon that is not running), so it
-//    costs exactly one send_overhead + probe_timeout regardless of the
-//    retry budget — and nothing more. The wild-probe path used to charge
-//    the final timeout twice; the regressions here fail under that bug.
+//  * a host probe that *reaches* a non-participating host is accepted by
+//    the network (resending cannot wake a daemon that is not running), so
+//    it costs exactly one send_overhead + probe_timeout regardless of the
+//    retry budget — and nothing more;
+//  * switch, echo and identifying probes are answered by switch hardware,
+//    so participation never changes their cost.
 #include <gtest/gtest.h>
 
 #include "probe/probe_engine.hpp"
@@ -49,7 +50,6 @@ struct Line {
 Network extended_net(const Topology& topo) {
   HardwareExtensions ext;
   ext.self_identifying_switches = true;
-  ext.hosts_answer_early_hits = true;
   return Network(topo, simnet::CollisionModel::kCutThrough, {}, {}, 1, ext);
 }
 
@@ -191,6 +191,33 @@ TEST(ProbeAccounting, EchoProbeTimeout) {
             (cost.send_overhead + cost.probe_timeout).to_ns());
 }
 
+TEST(ProbeAccounting, EchoProbeRetriesChargeEveryAttempt) {
+  Line line;
+  Network net(line.topo);
+  const auto& cost = net.cost();
+  ProbeEngine engine(net, line.h0);
+  engine.set_retries(2);
+  EXPECT_FALSE(engine.echo_probe(Route{3}));
+  EXPECT_EQ(engine.counters().switch_probes, 3u);
+  EXPECT_EQ(engine.elapsed().to_ns(),
+            ((cost.send_overhead + cost.probe_timeout) * 3).to_ns());
+}
+
+TEST(ProbeAccounting, EchoProbeIgnoresParticipation) {
+  Line line;
+  Network net(line.topo);
+  const auto& cost = net.cost();
+  const Route wire = simnet::loopback_probe(Route{3});
+  ProbeOptions options;
+  options.participants = {line.h0};
+  ProbeEngine engine(net, line.h0, options);
+  EXPECT_TRUE(engine.echo_probe(wire));
+  EXPECT_EQ(engine.elapsed().to_ns(),
+            (cost.send_overhead + flight(net, line.h0, wire) +
+             cost.receive_overhead)
+                .to_ns());
+}
+
 // --- identifying switch probes ------------------------------------------
 
 TEST(ProbeAccounting, IdentifyingProbeAnswered) {
@@ -216,63 +243,31 @@ TEST(ProbeAccounting, IdentifyingProbeTimeout) {
             (cost.send_overhead + cost.probe_timeout).to_ns());
 }
 
-// --- wild probes ---------------------------------------------------------
-
-TEST(ProbeAccounting, WildProbeAnsweredIsTwoRoundLegs) {
-  Line line;
-  Network net = extended_net(line.topo);
-  const auto& cost = net.cost();
-  const SimTime leg =
-      cost.send_overhead + flight(net, line.h0, Route{3, 3}) +
-      cost.receive_overhead;
-  ProbeEngine engine(net, line.h0);
-  const auto response = engine.wild_probe(Route{3, 3});
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->host_name, "h1");
-  EXPECT_EQ(engine.elapsed().to_ns(), (leg + leg).to_ns());
-}
-
-TEST(ProbeAccounting, WildProbeTimeoutChargedExactlyOnce) {
-  // Regression: the timed-out path used to charge send_overhead +
-  // probe_timeout *again* on top of the identical charge the retry loop
-  // had already applied to the final rejected attempt, so a wild miss with
-  // retries = 0 cost two timeouts instead of one.
-  Line line;
-  Network net = extended_net(line.topo);
-  const auto& cost = net.cost();
-  ProbeEngine engine(net, line.h0);
-  EXPECT_EQ(engine.wild_probe(Route{3}), std::nullopt);  // strands at s1
-  EXPECT_EQ(engine.counters().wild_probes, 1u);
-  EXPECT_EQ(engine.elapsed().to_ns(),
-            (cost.send_overhead + cost.probe_timeout).to_ns());
-}
-
-TEST(ProbeAccounting, WildProbeRetriesChargeEveryAttemptOnlyOnce) {
-  // With retries = 2 the double-charge bug cost 4 timeouts; the correct
-  // total is 3 (one per attempt).
+TEST(ProbeAccounting, IdentifyingProbeRetriesChargeEveryAttempt) {
   Line line;
   Network net = extended_net(line.topo);
   const auto& cost = net.cost();
   ProbeEngine engine(net, line.h0);
   engine.set_retries(2);
-  EXPECT_EQ(engine.wild_probe(Route{3}), std::nullopt);
-  EXPECT_EQ(engine.counters().wild_probes, 3u);
+  EXPECT_EQ(engine.identifying_switch_probe(Route{1}), std::nullopt);
+  EXPECT_EQ(engine.counters().switch_probes, 3u);
   EXPECT_EQ(engine.elapsed().to_ns(),
             ((cost.send_overhead + cost.probe_timeout) * 3).to_ns());
 }
 
-TEST(ProbeAccounting, WildProbeNonParticipantIsOneTimeoutNoRetries) {
+TEST(ProbeAccounting, IdentifyingProbeIgnoresParticipation) {
   Line line;
   Network net = extended_net(line.topo);
   const auto& cost = net.cost();
+  const Route wire = simnet::loopback_probe(Route{3});
   ProbeOptions options;
   options.participants = {line.h0};
-  options.retries = 2;
   ProbeEngine engine(net, line.h0, options);
-  EXPECT_EQ(engine.wild_probe(Route{3, 3}), std::nullopt);
-  EXPECT_EQ(engine.counters().wild_probes, 1u);
+  EXPECT_EQ(engine.identifying_switch_probe(Route{3}), line.s1);
   EXPECT_EQ(engine.elapsed().to_ns(),
-            (cost.send_overhead + cost.probe_timeout).to_ns());
+            (cost.send_overhead + flight(net, line.h0, wire) +
+             cost.receive_overhead)
+                .to_ns());
 }
 
 // --- election ------------------------------------------------------------

@@ -5,7 +5,7 @@
 //                 [--out FILE]
 //   sanmap info   --in FILE [--mapper HOST]
 //   sanmap map    --in FILE [--mapper HOST] [--algorithm berkeley|labeled|
-//                             myricom|identity|randomized]
+//                             myricom|identity]
 //                 [--federate SPEC [--overlap N]]
 //                 [--collision cut-through|circuit] [--out FILE]
 //   sanmap routes --in FILE [--root NAME] [--sample N] [--optimize]
@@ -39,7 +39,6 @@
 #include "mapper/incremental.hpp"
 #include "mapper/labeled_mapper.hpp"
 #include "mapper/parallel_mapper.hpp"
-#include "mapper/randomized_mapper.hpp"
 #include "myricom/myricom_mapper.hpp"
 #include "probe/probe_engine.hpp"
 #include "routing/deadlock.hpp"
@@ -187,7 +186,7 @@ int cmd_gen(int argc, const char* const* argv) {
   } else {
     throw std::runtime_error("unknown topology kind: " + kind);
   }
-  if (flags.get("case") == "true") {
+  if (flags.get_bool("case")) {
     verify::ScenarioCase scenario;
     scenario.name = kind;
     scenario.network = t;
@@ -274,8 +273,7 @@ int cmd_map(int argc, const char* const* argv) {
   common::Flags flags;
   flags.define("in", "-", "input topology file");
   flags.define("mapper", "", "mapper host name");
-  flags.define("algorithm", "berkeley",
-               "berkeley|labeled|myricom|identity|randomized");
+  flags.define("algorithm", "berkeley", "berkeley|labeled|myricom|identity");
   flags.define("collision", "cut-through", "cut-through|circuit");
   flags.define("previous", "",
                "previous map file: verify it and repair locally instead of "
@@ -291,7 +289,11 @@ int cmd_map(int argc, const char* const* argv) {
     return 0;
   }
   const topo::Topology t = read_input(flags.get("in"));
-  const auto collision = flags.get("collision") == "circuit"
+  const std::string collision_name = flags.get("collision");
+  if (collision_name != "cut-through" && collision_name != "circuit") {
+    throw std::runtime_error("unknown collision model: " + collision_name);
+  }
+  const auto collision = collision_name == "circuit"
                              ? simnet::CollisionModel::kCircuit
                              : simnet::CollisionModel::kCutThrough;
 
@@ -319,7 +321,6 @@ int cmd_map(int argc, const char* const* argv) {
 
   simnet::HardwareExtensions ext;
   ext.self_identifying_switches = algorithm == "identity";
-  ext.hosts_answer_early_hits = algorithm == "randomized";
   simnet::Network net(t, collision, simnet::CostModel{},
                       simnet::FaultModel{}, 1, ext);
   probe::ProbeEngine engine(net, mapper);
@@ -358,14 +359,6 @@ int cmd_map(int argc, const char* const* argv) {
         algorithm == "labeled"
             ? mapper::LabeledMapper(engine, config).run()
             : mapper::BerkeleyMapper(engine, config).run();
-    map = result.map;
-    probes = result.probes.total();
-    elapsed = result.elapsed;
-  } else if (algorithm == "randomized") {
-    mapper::RandomizedConfig config;
-    config.base.search_depth = topo::search_depth(t, mapper);
-    config.wild_probes = static_cast<int>(t.num_hosts()) * 4;
-    const auto result = mapper::RandomizedMapper(engine, config).run();
     map = result.map;
     probes = result.probes.total();
     elapsed = result.elapsed;
