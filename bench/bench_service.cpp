@@ -9,9 +9,9 @@
 //
 // Section 2 is the torn-read hunt: readers hammer run_batch while a writer
 // republishes freshly recomputed route tables (a remap per round) and
-// periodically offers a deadlock-unsafe table. Every answer must come from a
-// published epoch with a complete route; the unsafe tables must all bounce
-// off the catalog's safety gate.
+// periodically offers a table corrupted with a down-to-up turn. Every answer
+// must come from a published epoch with a complete route; the corrupted
+// tables must all bounce off the catalog's certifier.
 //
 // Results also land in BENCH_service.json (see JsonReport).
 #include <chrono>
@@ -19,6 +19,7 @@
 #include <set>
 #include <thread>
 
+#include "analysis/certificates.hpp"
 #include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
@@ -105,28 +106,32 @@ void churn_section(const topo::Topology& t,
                    std::int64_t rounds, bench::JsonReport& json) {
   std::cout << "== queries during epoch churn ==\n"
             << rounds << " republishes (fresh route recompute each), every "
-            << "3rd offered table corrupted to deadlock-unsafe\n\n";
+            << "3rd offered table corrupted with a down-to-up turn\n\n";
   service::MapCatalog catalog;
   catalog.publish(service::build_snapshot(t, {}, common::SimTime{}));
   const service::RouteQueryEngine engine(catalog);
 
   std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> accepted{0};
   std::thread writer([&] {
     for (std::int64_t round = 1; round <= rounds; ++round) {
+      const bool corrupt = round % 3 == 0;
       service::SnapshotOptions options;
       options.route_seed = static_cast<std::uint64_t>(round) + 1;
-      options.source = "remap";
+      options.source = corrupt ? "corrupted" : "remap";
       service::MapSnapshot next = service::build_snapshot(
           t, options, common::SimTime::ms(round));
-      if (round % 3 == 0) {
-        // A table that fails verification must never become current.
-        next.deadlock_free = false;
+      if (corrupt &&
+          analysis::inject_down_up_turn(next.map, next.routes).empty()) {
+        std::cerr << "CANNOT CORRUPT — no down-to-up detour in the fabric\n";
+        std::exit(1);
       }
-      const auto result =
-          catalog.publish_if_current(std::move(next), catalog.epoch());
-      if (result.published()) {
-        accepted.fetch_add(1, std::memory_order_relaxed);
+      // The writer knows which offers it corrupted: the certifier must
+      // refuse every one of them, whatever readers happen to observe.
+      if (catalog.publish_if_current(std::move(next), catalog.epoch())
+              .published() &&
+          corrupt) {
+        std::cerr << "UNSAFE TABLE PUBLISHED — round " << round << "\n";
+        std::exit(1);
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -150,13 +155,6 @@ void churn_section(const topo::Topology& t,
   }
   const double elapsed = seconds_since(start);
   writer.join();
-  for (const std::uint64_t epoch : epochs_seen) {
-    const auto snapshot = catalog.at_epoch(epoch);
-    if (snapshot && !snapshot->deadlock_free) {
-      std::cerr << "UNSAFE TABLE SERVED — epoch " << epoch << "\n";
-      std::exit(1);
-    }
-  }
 
   const auto stats = catalog.stats();
   common::Table table({"what", "value"});

@@ -2,6 +2,8 @@
 // see DESIGN.md §4 for the experiment index).
 #pragma once
 
+#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -16,6 +18,28 @@
 #include "topology/isomorphism.hpp"
 
 namespace sanmap::bench {
+
+/// Bench mains read their flags outside any try block. An exception that
+/// escapes one (a mistyped flag, a malformed value) ends here: its reason
+/// and exit 1, as the sanmap CLI does, instead of an abort (exit 134).
+/// Including this header installs it: the constant exists only so that
+/// std::set_terminate runs during static initialization.
+[[maybe_unused]] inline const bool kExitOnEscapedException =
+    (std::set_terminate([] {
+       if (const std::exception_ptr escaped = std::current_exception()) {
+         try {
+           std::rethrow_exception(escaped);
+         } catch (const std::exception& e) {
+           std::cerr << e.what() << "\n";
+         } catch (...) {
+           std::cerr << "non-standard exception\n";
+         }
+         std::cout.flush();
+         std::_Exit(1);
+       }
+       std::abort();
+     }),
+     true);
 
 /// The mapper host used throughout the evaluation: the utility machine
 /// attached to a root of subcluster C ("a machine dedicated to running

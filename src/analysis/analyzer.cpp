@@ -100,7 +100,7 @@ AnalysisResult analyze(const topo::Topology& map,
                       "analyzer self-check: report this as a bug");
   }
 
-  lint_route_quality(map, routes, options.lints, result.report);
+  lint_route_quality(map, routes, paths, options.lints, result.report);
   return result;
 }
 

@@ -358,6 +358,7 @@ bool lint_route_structure(const topo::Topology& topo,
 
 void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
+                        const routing::ChannelPaths& paths,
                         const LintOptions& options,
                         DiagnosticReport& report) {
   // SL402: every ordered pair of live hosts must have a route. Host pairs
@@ -458,9 +459,9 @@ void lint_route_quality(const topo::Topology& topo,
   //  * skew across redundant parallel cables between the same two switches
   //    (the seed's tie-break exists precisely to spread those), and
   //  * a single channel funneling the majority of all routes.
-  const std::vector<std::size_t> loads = routing::channel_loads(topo, routes);
+  const std::vector<std::size_t> loads = routing::channel_loads(topo, paths);
   const auto channel_load = [&](topo::WireId w, bool a_to_b) {
-    return loads[routing::channel_slot(w, a_to_b)];
+    return loads[routing::channel_id(routing::Channel{w, a_to_b})];
   };
   // Parallel-cable skew. When the route optimizer declared a per-cable
   // assignment for the whole group, the lint audits the table against that

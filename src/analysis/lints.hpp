@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
+#include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
 #include "topology/topology.hpp"
 
@@ -62,10 +63,12 @@ bool lint_route_structure(const topo::Topology& topo,
                           const routing::RoutingResult& routes,
                           DiagnosticReport& report);
 
-/// Route-quality checks: SL401..SL404. Requires a structurally sound table.
-/// Every check but SL402 needs at least 6 routes to be meaningful.
+/// Route-quality checks: SL401..SL404 (SL403 counts loads over `paths`, the
+/// table's routing::route_channel_paths). Requires a structurally sound
+/// table. Every check but SL402 needs at least 6 routes to be meaningful.
 void lint_route_quality(const topo::Topology& topo,
                         const routing::RoutingResult& routes,
+                        const routing::ChannelPaths& paths,
                         const LintOptions& options,
                         DiagnosticReport& report);
 

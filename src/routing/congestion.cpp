@@ -3,20 +3,18 @@
 namespace sanmap::routing {
 
 std::vector<std::size_t> channel_loads(const topo::Topology& topo,
-                                       const RoutingResult& routes) {
+                                       const ChannelPaths& paths) {
   std::vector<std::size_t> load(topo.wire_capacity() * 2, 0);
-  for (const auto& [key, route] : routes.routes) {
-    for (std::size_t i = 0; i < route.wires.size(); ++i) {
-      const bool a_to_b = topo.wire(route.wires[i]).a.node == route.nodes[i];
-      ++load[channel_slot(route.wires[i], a_to_b)];
-    }
+  for (const ChannelId id : paths.ids) {
+    ++load[id];
   }
   return load;
 }
 
 CongestionStats channel_load(const topo::Topology& topo,
                              const RoutingResult& routes) {
-  const std::vector<std::size_t> load = channel_loads(topo, routes);
+  const std::vector<std::size_t> load =
+      channel_loads(topo, route_channel_paths(topo, routes));
   std::size_t total_hops = 0;
   std::size_t root_hops = 0;
   const topo::NodeId root = routes.orientation.root();

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
 #include "topology/topology.hpp"
 
@@ -28,15 +29,10 @@ struct CongestionStats {
   double root_traffic_share = 0.0;
 };
 
-/// The slot of directed channel (w, a_to_b) in a channel_loads() vector.
-inline std::size_t channel_slot(topo::WireId w, bool a_to_b) {
-  return static_cast<std::size_t>(w) * 2 + (a_to_b ? 1 : 0);
-}
-
-/// Routes crossing each directed channel, indexed by channel_slot(); sized
-/// 2 * wire_capacity(). Every route must be structurally sound.
+/// Routes crossing each directed channel, indexed by channel_id(); sized
+/// 2 * wire_capacity().
 std::vector<std::size_t> channel_loads(const topo::Topology& topo,
-                                       const RoutingResult& routes);
+                                       const ChannelPaths& paths);
 
 CongestionStats channel_load(const topo::Topology& topo,
                              const RoutingResult& routes);

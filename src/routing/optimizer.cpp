@@ -79,7 +79,7 @@ std::size_t path_pass(const topo::Topology& topo, RoutingResult& routes,
     // Evaluate with this route's own traffic removed.
     for (std::size_t i = 0; i < route.wires.size(); ++i) {
       const bool a_to_b = topo.wire(route.wires[i]).a.node == route.nodes[i];
-      --load[channel_slot(route.wires[i], a_to_b)];
+      --load[channel_id(Channel{route.wires[i], a_to_b})];
     }
     const std::size_t si = search.index_of[key.first];
     const std::size_t di = search.index_of[key.second];
@@ -107,7 +107,8 @@ std::size_t path_pass(const topo::Topology& topo, RoutingResult& routes,
     std::size_t cur_sum = 0;
     for (std::size_t i = 0; i < route.wires.size(); ++i) {
       const bool a_to_b = topo.wire(route.wires[i]).a.node == route.nodes[i];
-      const std::size_t have = load[channel_slot(route.wires[i], a_to_b)];
+      const std::size_t have =
+          load[channel_id(Channel{route.wires[i], a_to_b})];
       cur_max = std::max(cur_max, have + 1);
       cur_sum += have;
     }
@@ -133,7 +134,7 @@ std::size_t path_pass(const topo::Topology& topo, RoutingResult& routes,
           std::size_t pick_load = std::numeric_limits<std::size_t>::max();
           for (const topo::WireId w : candidates) {
             const bool a_to_b = topo.wire(w).a.node == from;
-            const std::size_t have = load[channel_slot(w, a_to_b)];
+            const std::size_t have = load[channel_id(Channel{w, a_to_b})];
             if (have < pick_load) {
               pick_load = have;
               pick = w;
@@ -166,7 +167,7 @@ std::size_t path_pass(const topo::Topology& topo, RoutingResult& routes,
     }
     for (std::size_t i = 0; i < route.wires.size(); ++i) {
       const bool a_to_b = topo.wire(route.wires[i]).a.node == route.nodes[i];
-      ++load[channel_slot(route.wires[i], a_to_b)];
+      ++load[channel_id(Channel{route.wires[i], a_to_b})];
     }
   }
   return moves;
@@ -212,9 +213,9 @@ std::size_t cable_pass(const topo::Topology& topo, RoutingResult& routes,
         ++joint[pick];
         if (route.wires[h] != pick) {
           const bool was_a_to_b = topo.wire(route.wires[h]).a.node == from;
-          --load[channel_slot(route.wires[h], was_a_to_b)];
+          --load[channel_id(Channel{route.wires[h], was_a_to_b})];
           const bool now_a_to_b = topo.wire(pick).a.node == from;
-          ++load[channel_slot(pick, now_a_to_b)];
+          ++load[channel_id(Channel{pick, now_a_to_b})];
           route.wires[h] = pick;
           recompute_turns(topo, route);
           ++moves;
@@ -242,7 +243,8 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
   SANMAP_CHECK(options.max_rounds >= 1);
   OptimizerReport report;
   const PathSearch search(topo, routes.orientation);
-  std::vector<std::size_t> load = channel_loads(topo, routes);
+  std::vector<std::size_t> load =
+      channel_loads(topo, route_channel_paths(topo, routes));
   report.max_load_before = max_load(load);
 
   for (int round = 0; round < options.max_rounds; ++round) {
@@ -251,7 +253,7 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
     const std::size_t cable_moves = cable_pass(topo, routes, search, load);
     if (!table_proven_safe(topo, routes)) {
       routes.routes = saved;
-      load = channel_loads(topo, routes);
+      load = channel_loads(topo, route_channel_paths(topo, routes));
       report.reverted = true;
       break;
     }
@@ -278,8 +280,8 @@ OptimizerReport optimize_routes(const topo::Topology& topo,
       continue;
     }
     for (const topo::WireId w : group) {
-      routes.meta.cable_plan[{w, false}] = load[channel_slot(w, false)];
-      routes.meta.cable_plan[{w, true}] = load[channel_slot(w, true)];
+      routes.meta.cable_plan[{w, false}] = load[channel_id(Channel{w, false})];
+      routes.meta.cable_plan[{w, true}] = load[channel_id(Channel{w, true})];
     }
   }
   return report;

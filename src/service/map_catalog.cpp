@@ -117,38 +117,29 @@ void MapCatalog::lint_staleness(
 
 MapCatalog::PublishResult MapCatalog::publish_impl(
     MapSnapshot snapshot, bool check_stale, std::uint64_t based_on_epoch) {
-  // The safety gate needs no lock. The cheap check first: the build-time
-  // verdict travels inside the snapshot, and a snapshot that already knows
-  // it is unsafe is refused without re-deriving anything.
-  if (!snapshot.deadlock_free || !snapshot.compliant) {
-    rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
-    SANMAP_LOG(kWarning, "map-catalog",
-               "refusing snapshot from " << snapshot.options.source
-                                         << ": not verified deadlock-free");
-    return PublishResult{PublishStatus::kRejectedUnsafe, epoch(), {}};
-  }
-
-  // The full static pass, before the writer lock (the analyzer is the
-  // expensive part; readers of at_epoch()/history should not queue behind
-  // it): legality + deadlock certificates, each re-checked by its
-  // independent checker (a failed recheck is SL202), and the structural
-  // lints. This catches snapshots whose flags were set by a buggy (or
-  // bypassed) builder — the catalog re-derives the verdict from the map and
-  // routes themselves and refuses on any ERROR.
+  // The safety gate, before the writer lock (the analyzer is the expensive
+  // part; readers of at_epoch()/history should not queue behind it): the
+  // one certifier on the publish path. It derives its verdict from the map
+  // and routes alone — legality + deadlock certificates, each re-checked by
+  // its independent checker (a failed recheck is SL202), and the structural
+  // lints — and refuses on any ERROR.
   const analysis::AnalysisResult verdict =
       analysis::analyze(snapshot.map, snapshot.routes);
   if (!verdict.clean()) {
     rejected_unsafe_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<analysis::Diagnostic> errors = gate_errors_of(verdict);
+    PublishResult result{PublishStatus::kRejectedUnsafe, epoch(),
+                         gate_errors_of(verdict)};
     SANMAP_LOG(kWarning, "map-catalog",
                "refusing snapshot from "
                    << snapshot.options.source << ": static analysis found "
-                   << errors.size() << " error(s), first: "
-                   << (errors.empty() ? "?" : errors.front().code));
-    PublishResult result{PublishStatus::kRejectedUnsafe, epoch(), {}};
-    result.gate_errors = std::move(errors);
+                   << result.gate_errors.size() << " error(s), first: "
+                   << result.gate_errors.front().code);
     return result;
   }
+  // A clean verdict always ran the route phase: stamp its certificates into
+  // the snapshot, overwriting whatever the candidate carried.
+  snapshot.deadlock_free = verdict.deadlock.deadlock_free;
+  snapshot.compliant = verdict.legality.all_legal;
 
   common::MutexLock lock(writer_mutex_);
   const SnapshotPtr old = current_.load(std::memory_order_acquire);

@@ -7,16 +7,17 @@
 // A reader that loaded epoch N keeps its snapshot alive by reference count
 // even after epoch N+1 lands; grace periods are implicit in shared_ptr.
 //
-// Publishing is gated twice, on one path for every candidate:
-//  * safety — every candidate snapshot is re-analyzed from scratch by
-//    analysis::analyze (src/analysis): UP*/DOWN* legality per route, the
-//    explicit channel-dependency deadlock certificate (each certificate
-//    re-checked by its independent checker; a failed recheck is SL202),
-//    model well-formedness and route-table structure lints. Any ERROR-level
-//    diagnostic (or a build verdict that already said unsafe) refuses the
-//    publish outright; an unsafe route table must never become current
-//    (Dally & Seitz; the paper's §5.5 guarantee). The refusing diagnostics
-//    travel back in the PublishResult;
+// Every candidate passes one publish path with two gates:
+//  * safety — analysis::analyze (src/analysis) certifies the candidate from
+//    its map and routes alone: UP*/DOWN* legality per route, the explicit
+//    channel-dependency deadlock certificate (each certificate re-checked by
+//    its independent checker; a failed recheck is SL202), model
+//    well-formedness and route-table structure lints. Any ERROR-level
+//    diagnostic refuses the publish, and the refusing diagnostics travel
+//    back in the PublishResult; an unsafe route table must never become
+//    current (Dally & Seitz; the paper's §5.5 guarantee). It is the only
+//    verdict on the service path: it never reads a candidate's safety
+//    fields, and stamps them on the snapshot it publishes;
 //  * staleness — publish_if_current(snapshot, based_on_epoch) refuses when
 //    the catalog moved past `based_on_epoch`, so a slow remap that raced a
 //    faster one cannot clobber fresher routes with older ones; and the
@@ -62,8 +63,8 @@ class MapCatalog {
 
   enum class PublishStatus : std::uint8_t {
     kPublished,
-    /// Refused: the static analyzer found an ERROR-level diagnostic (or
-    /// the snapshot's own build verdict said unsafe).
+    /// Refused: the static analyzer or a staleness lint found an
+    /// ERROR-level diagnostic.
     kRejectedUnsafe,
     /// Refused: the catalog advanced past the epoch the snapshot was
     /// computed against (a concurrent publisher won the race).
@@ -76,7 +77,7 @@ class MapCatalog {
     /// epoch at decision time when rejected.
     std::uint64_t epoch = 0;
     /// kRejectedUnsafe only: the ERROR-level diagnostics that refused the
-    /// snapshot (empty for the legacy unsafe-flag path).
+    /// snapshot (never empty on that status).
     std::vector<analysis::Diagnostic> gate_errors;
 
     [[nodiscard]] bool published() const {
@@ -84,9 +85,9 @@ class MapCatalog {
     }
   };
 
-  /// Publishes unconditionally (no staleness check): assigns the next
-  /// epoch, swaps `current`, and records history. Still refuses unsafe
-  /// snapshots.
+  /// Publishes unconditionally (no staleness check): certifies and stamps
+  /// the snapshot, assigns the next epoch, swaps `current`, and records
+  /// history. Still refuses unsafe snapshots.
   PublishResult publish(MapSnapshot snapshot)
       SANMAP_EXCLUDES(writer_mutex_, health_mutex_);
 

@@ -92,9 +92,8 @@ FabricStats RouteQueryEngine::stats() const {
   stats.switches = snapshot->map.num_switches();
   stats.wires = snapshot->map.num_wires();
   stats.routes = snapshot->routes.routes.size();
-  stats.mean_hops = snapshot->mean_hops;
-  stats.max_hops = snapshot->max_hops;
-  stats.deadlock_free = snapshot->deadlock_free;
+  stats.mean_hops = snapshot->routes.mean_hops();
+  stats.max_hops = snapshot->routes.max_hops();
   return stats;
 }
 

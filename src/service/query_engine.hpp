@@ -69,7 +69,6 @@ struct FabricStats {
   std::size_t routes = 0;
   double mean_hops = 0.0;
   int max_hops = 0;
-  bool deadlock_free = false;
 };
 
 class RouteQueryEngine {
@@ -92,7 +91,7 @@ class RouteQueryEngine {
                                const std::string& dst) const;
 
   /// Topology + route-quality stats of the current snapshot (all zero when
-  /// the catalog is empty).
+  /// the catalog is empty). The hop figures walk its route table.
   [[nodiscard]] FabricStats stats() const;
 
   /// Answers a batch across the pool: queries are split into chunks of

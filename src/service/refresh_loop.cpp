@@ -300,7 +300,7 @@ topo::Topology RefreshLoop::full_remap(TickReport& report) {
 
 bool RefreshLoop::try_publish(const topo::Topology& map,
                               std::uint64_t based_on_epoch, const char* source,
-                              bool record_rejection, TickReport& report) {
+                              TickReport& report) {
   SnapshotOptions options;
   options.root_name = config_.root_name;
   options.route_seed = config_.route_seed;
@@ -319,17 +319,6 @@ bool RefreshLoop::try_publish(const topo::Topology& map,
   }
   MapSnapshot& snapshot = *built;
 
-  // The deadlock gate: an unverified table is never distributed, let alone
-  // published (the catalog would refuse it anyway; checking here spares the
-  // fabric the table traffic).
-  if (!snapshot.deadlock_free || !snapshot.compliant) {
-    if (record_rejection) {
-      report.publish_status = TickPublish::kRejectedUnsafe;
-      catalog_->publish_if_current(std::move(snapshot), based_on_epoch);
-    }
-    return false;
-  }
-
   // The incremental rung must prove its splice against the live fabric
   // before it may publish: fire every candidate route and require all of
   // them to arrive. A wrong splice fails here and escalates instead of
@@ -347,18 +336,27 @@ bool RefreshLoop::try_publish(const topo::Topology& map,
     }
   }
 
-  const routing::DistributionResult distribution = routing::distribute_tables(
-      *net_, snapshot.routes, snapshot.map, config_.master_name, now_);
-  now_ += distribution.elapsed;
-  report.distribution_complete = distribution.complete;
-  // An incomplete distribution is not a reason to withhold the snapshot: the
-  // routes are verified safe, and the next tick's health check will catch
-  // whatever the missed interfaces imply and remap again.
-
+  // Only a table the publish gate accepted is handed to the interfaces.
   const MapCatalog::PublishResult outcome =
       catalog_->publish_if_current(std::move(snapshot), based_on_epoch);
   report.publish_status = to_tick_publish(outcome.status);
-  return outcome.published();
+  if (!outcome.published()) {
+    return false;
+  }
+  // Current is the snapshot just published, unless another publisher has
+  // already superseded it (and then its table is no longer served).
+  const SnapshotPtr published = catalog_->current();
+  if (published->epoch == outcome.epoch) {
+    const routing::DistributionResult distribution =
+        routing::distribute_tables(*net_, published->routes, published->map,
+                                   config_.master_name, now_);
+    now_ += distribution.elapsed;
+    // An incomplete distribution does not withdraw the epoch: the routes are
+    // certified safe, and the next tick's health check catches whatever the
+    // missed interfaces imply and remaps again.
+    report.distribution_complete = distribution.complete;
+  }
+  return true;
 }
 
 void RefreshLoop::remap_and_publish(std::uint64_t based_on_epoch,
@@ -383,8 +381,8 @@ void RefreshLoop::remap_and_publish(std::uint64_t based_on_epoch,
       now_ = engine_.now();
       report.probes_used += result.probes.total();
       report.remap = RemapKind::kIncremental;
-      published = try_publish(result.map, based_on_epoch, "incremental",
-                              /*record_rejection=*/false, report);
+      published =
+          try_publish(result.map, based_on_epoch, "incremental", report);
     } catch (const std::exception& e) {
       now_ = engine_.now();
       SANMAP_LOG(kWarning, "refresh-loop",
@@ -401,7 +399,7 @@ void RefreshLoop::remap_and_publish(std::uint64_t based_on_epoch,
     report.remap = RemapKind::kFull;
     published = try_publish(map, based_on_epoch,
                             based_on_epoch == 0 ? "bootstrap" : "remap",
-                            /*record_rejection=*/true, report);
+                            report);
   }
 
   // Rung 3: keep serving the last safe snapshot, degraded.

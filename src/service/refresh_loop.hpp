@@ -1,4 +1,4 @@
-// The write side of the map service: watch, localize, remap, verify, swap.
+// The write side of the map service: watch, remap, certify, swap, distribute.
 //
 // A long-lived mapper host does the paper's §5.5 pipeline forever. Each
 // tick advances the virtual clock by the check interval and fires every
@@ -13,17 +13,19 @@
 //     validate the candidate routes against the live fabric, and publish;
 //  2. full remap — a mapper::RobustMapper session against the live network
 //     when the incremental attempt failed, produced a map the router
-//     refuses, or its routes failed validation;
+//     refuses, failed live validation, or was refused at publish;
 //  3. degraded — when even the full remap cannot produce a publishable
 //     snapshot, keep serving the last safe snapshot with the dirty region
 //     quarantined (MapCatalog health kDegraded) and try again next tick.
 //
-// Every published snapshot — incremental or full — is distributed in-band,
-// passes the catalog's one publish gate (a from-scratch analysis with both
-// certificates rechecked) and lands via publish_if_current, so a concurrent
-// publisher's fresher routes are never clobbered and an unsafe table is
-// never served, no matter which rung produced it. The loop is the service's
-// only self-healing path: check, remap, redistribute, publish.
+// Every candidate, whichever rung produced it, is offered to the catalog's
+// one publish gate via publish_if_current (a from-scratch analysis with
+// both certificates rechecked, plus the staleness checks), and only a
+// snapshot the gate published is distributed in-band. So a concurrent
+// publisher's fresher routes are never clobbered, an unsafe table is never
+// served, and no interface is handed a table the catalog refused. The loop
+// is the service's only self-healing path: check, remap, publish,
+// redistribute.
 //
 // Every remap session maps at the live fabric's ground-truth search depth
 // + 2 (the slack for fabrics that degrade mid-pass). An exponential backoff
@@ -117,8 +119,8 @@ struct TickReport {
   /// Outcome of the publish attempt; kNotAttempted on observation-only,
   /// damped, and degraded ticks.
   TickPublish publish_status = TickPublish::kNotAttempted;
-  /// Every table message of the redistribution was delivered (meaningful
-  /// only when a publish was attempted).
+  /// The snapshot this tick published was distributed and every table
+  /// message arrived; false when nothing was published.
   bool distribution_complete = false;
   /// Catalog health after the tick.
   MapCatalog::HealthState health = MapCatalog::HealthState::kFresh;
@@ -142,8 +144,8 @@ class RefreshLoop {
   TickReport bootstrap() SANMAP_EXCLUDES(mutex_);
 
   /// One watch cycle: advance the clock, health-check the current
-  /// snapshot's routes, and localize + remap + verify + distribute +
-  /// publish when anything broke. Bootstraps if the catalog is empty.
+  /// snapshot's routes, and localize + remap + publish + distribute when
+  /// anything broke. Bootstraps if the catalog is empty.
   TickReport tick() SANMAP_EXCLUDES(mutex_);
 
   /// Runs `ticks` cycles; returns one report per tick.
@@ -180,13 +182,11 @@ class RefreshLoop {
   [[nodiscard]] topo::Topology full_remap(TickReport& report)
       SANMAP_REQUIRES(mutex_);
 
-  /// Verify, distribute, and publish one candidate map. Returns true when
-  /// it became current. `record_rejection` feeds refused snapshots to the
-  /// catalog so its stats count them (the final rung does; the incremental
-  /// rung escalates silently instead).
+  /// Build, validate (incremental rung), publish, then distribute one
+  /// candidate map. Returns true when it became current.
   bool try_publish(const topo::Topology& map, std::uint64_t based_on_epoch,
-                   const char* source, bool record_rejection,
-                   TickReport& report) SANMAP_REQUIRES(mutex_);
+                   const char* source, TickReport& report)
+      SANMAP_REQUIRES(mutex_);
 
   /// Downgrade catalog health, quarantining `dirty` (snapshot-map ids of
   /// `snapshot`'s map).

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "routing/deadlock.hpp"
 #include "routing/engine.hpp"
 #include "routing/optimizer.hpp"
 
@@ -30,23 +29,10 @@ MapSnapshot build_snapshot(const topo::Topology& map,
   if (options.optimize) {
     routing::optimize_routes(compacted, routes);
   }
-
-  const routing::DeadlockAnalysis analysis =
-      routing::analyze_routes(compacted, routes);
-  const bool compliant = routing::updown_compliant(routes);
-  const double mean_hops = routes.mean_hops();
-  const int max_hops = routes.max_hops();
-  return MapSnapshot{/*epoch=*/0,
-                     created_at,
-                     std::move(compacted),
-                     std::move(routes),
-                     options,
-                     analysis.deadlock_free,
-                     compliant,
-                     analysis.channels,
-                     analysis.dependencies,
-                     mean_hops,
-                     max_hops};
+  return MapSnapshot{.created_at = created_at,
+                     .map = std::move(compacted),
+                     .routes = std::move(routes),
+                     .options = options};
 }
 
 }  // namespace sanmap::service

@@ -2,12 +2,12 @@
 //
 // The paper stops at "routes are computed and distributed to all network
 // interfaces"; a production mapper host keeps doing that forever. The unit
-// it keeps producing is a MapSnapshot: a compacted map of the fabric, the
-// full UP*/DOWN* route set computed on it, and the safety verdict of the
-// channel-dependency deadlock analysis — bundled so no consumer can ever
-// pair a route table with the wrong map or skip the safety check.
+// it keeps producing is a MapSnapshot: a compacted map of the fabric and the
+// full UP*/DOWN* route set computed on it, bundled so no consumer can ever
+// pair a route table with the wrong map. Its safety verdict is stamped by
+// the one certifier, MapCatalog's publish gate, when it publishes it.
 //
-// Snapshots are immutable after construction and shared by reference count;
+// Snapshots are immutable once published and shared by reference count;
 // MapCatalog publishes them under monotonically increasing epochs and
 // readers hold them for as long as a query is in flight, so a snapshot's
 // lifetime is decoupled from how fast the catalog moves on.
@@ -36,9 +36,9 @@ struct SnapshotOptions {
   std::uint64_t route_seed = 1;
   /// Provenance tag ("bootstrap", "remap", "file", ...) for diagnostics.
   std::string source;
-  /// Run the skew/funnel RouteOptimizer pass over the table before the
-  /// safety verdict (the optimizer re-proves legality after every rewrite,
-  /// and the snapshot verdict re-checks the final table regardless).
+  /// Run the skew/funnel RouteOptimizer pass over the table (the optimizer
+  /// re-proves legality after every rewrite, and the publish gate
+  /// re-certifies the final table regardless).
   bool optimize = false;
 };
 
@@ -55,25 +55,19 @@ struct MapSnapshot {
   routing::RoutingResult routes;
   SnapshotOptions options;
 
-  // -- safety verdict (filled by build_snapshot) ---------------------------
-  /// Dally & Seitz channel-dependency analysis: acyclic, hence mutually
-  /// deadlock-free. MapCatalog refuses to publish when false.
+  // -- safety stamp ---------------------------------------------------------
+  // Written by the publish gate from its certificates; false/0 until then.
+  /// The channel-dependency graph is acyclic (Dally & Seitz).
   bool deadlock_free = false;
-  /// Every route obeys the UP*/DOWN* rule (no down-to-up turn).
+  /// No route takes a down-to-up turn (UP*/DOWN* legality).
   bool compliant = false;
-  std::size_t channels = 0;
-  std::size_t dependencies = 0;
-
-  // -- cached route-quality summary ----------------------------------------
-  double mean_hops = 0.0;
-  int max_hops = 0;
 };
 
 using SnapshotPtr = std::shared_ptr<const MapSnapshot>;
 
-/// Builds a snapshot from a map: compacts it, resolves the root by name,
-/// computes the routes, and runs the deadlock analysis. The map must be
-/// connected with at least one switch and one host (the router's
+/// Builds an unstamped snapshot from a map: compacts it, resolves the root
+/// by name, computes the routes and, when asked, optimizes them. The map must
+/// be connected with at least one switch and one host (the router's
 /// precondition). Throws via SANMAP_CHECK when `options.root_name` names no
 /// switch of the map.
 MapSnapshot build_snapshot(const topo::Topology& map,

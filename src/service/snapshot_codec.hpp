@@ -19,10 +19,11 @@
 // the routes travel as the actual per-pair turn sequences — the bytes a
 // NIC would be handed. Decoding recomputes the routes from (map, root,
 // seed) with the deterministic router and cross-checks every stored turn
-// sequence against the recomputation: the checksum catches bit rot, the
+// sequence against the recomputation: the checksum catches bit rot and the
 // cross-check catches a snapshot produced by a router that disagrees with
-// this build (version skew), and a decoded snapshot always carries a
-// freshly verified deadlock analysis rather than a stored claim.
+// this build (version skew). No safety verdict is stored or derived here:
+// a decoded snapshot is unstamped, and publishing it (or running
+// analysis::analyze on it) certifies it like any other candidate.
 #pragma once
 
 #include <iosfwd>
@@ -39,7 +40,8 @@ std::string encode_snapshot(const MapSnapshot& snapshot);
 /// bad magic/version, truncation, checksum mismatch, an engine word other
 /// than 0 or an optimizer flag other than 0/1, or a route set that
 /// disagrees with this build's router. The returned snapshot keeps its
-/// recorded epoch (a catalog re-publish assigns a fresh one).
+/// recorded epoch (a catalog re-publish assigns a fresh one) and carries no
+/// safety stamp.
 MapSnapshot decode_snapshot(const std::string& bytes);
 
 /// File convenience wrappers (binary mode). Throw std::runtime_error on

@@ -1,14 +1,14 @@
 // Tests for the static analyzer (sanlint): the diagnostics registry, the
 // legality and deadlock certificates and their independent checkers, the
-// well-formedness and route-quality lints, the analyzer facade, and the
-// MapCatalog publish gate it feeds.
+// well-formedness and route-quality lints and the analyzer facade (the
+// MapCatalog publish gate it feeds is tested in service_test).
 //
 // The load-bearing properties:
 //  * certificates round-trip — build over a healthy fabric, re-check from
 //    the carried evidence alone, and agree with the dynamic detectors;
 //  * an injected down-to-up turn is flagged with its exact hop, at every
-//    enforcement layer (analyze(), the CLI's exit-code contract via
-//    exit_code(), and the catalog gate);
+//    enforcement layer (analyze() and the CLI's exit-code contract via
+//    exit_code());
 //  * a dependency cycle produces a concrete counterexample, not just a
 //    boolean;
 //  * the SL403 pin: structural root concentration on the paper's NOW
@@ -34,8 +34,6 @@
 #include "common/rng.hpp"
 #include "routing/deadlock.hpp"
 #include "routing/routes.hpp"
-#include "service/map_catalog.hpp"
-#include "service/snapshot.hpp"
 #include "topology/generators.hpp"
 
 namespace {
@@ -942,7 +940,8 @@ TEST(RouteLints, MissingHostPairIsAnError) {
   ASSERT_FALSE(routes.routes.empty());
   routes.routes.erase(routes.routes.begin());
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, {}, report);
+  analysis::lint_route_quality(
+      t, routes, routing::route_channel_paths(t, routes), {}, report);
   EXPECT_GE(report.count("SL402"), 1u) << report.text();
 }
 
@@ -952,7 +951,8 @@ TEST(RouteLints, HopLimitFlagsLongRoutes) {
   analysis::LintOptions options;
   options.hop_limit = 2;
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, options, report);
+  analysis::lint_route_quality(
+      t, routes, routing::route_channel_paths(t, routes), options, report);
   EXPECT_GE(report.count("SL404"), 1u) << report.text();
 }
 
@@ -965,7 +965,8 @@ TEST(RouteLints, StructuralRootConcentrationStaysQuiet) {
   const topo::Topology t = topo::now_cluster();
   const auto routes = routing::compute_updown_routes(t, {}, 1);
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, {}, report);
+  analysis::lint_route_quality(
+      t, routes, routing::route_channel_paths(t, routes), {}, report);
   EXPECT_EQ(report.count("SL403"), 0u) << report.text();
 }
 
@@ -993,7 +994,8 @@ TEST(RouteLints, ParallelCableSkewFires) {
     }
   }
   analysis::DiagnosticReport report;
-  analysis::lint_route_quality(t, routes, {}, report);
+  analysis::lint_route_quality(
+      t, routes, routing::route_channel_paths(t, routes), {}, report);
   EXPECT_GE(report.count("SL403"), 1u) << report.text();
 }
 
@@ -1035,42 +1037,6 @@ TEST(Analyzer, JsonCarriesDiagnosticsAndCertificates) {
   EXPECT_NE(json.find("\"certificates\""), std::string::npos);
   EXPECT_NE(json.find("\"deadlock_free\":true"), std::string::npos);
   EXPECT_NE(json.find("\"exit_code\":0"), std::string::npos);
-}
-
-// ------------------------------------------------------------ catalog gate
-
-TEST(CatalogGate, PublishesCleanSnapshots) {
-  service::MapCatalog catalog;
-  const topo::Topology t = topo::ring(4, 2);
-  auto snapshot = service::build_snapshot(t, {}, common::SimTime{});
-  const auto result = catalog.publish(std::move(snapshot));
-  EXPECT_TRUE(result.published());
-  EXPECT_TRUE(result.gate_errors.empty());
-}
-
-TEST(CatalogGate, RejectsTamperedRoutesDespiteHealthyFlags) {
-  // A snapshot whose build-time verdict says safe but whose route table was
-  // corrupted afterwards: the old flag-only gate would wave it through; the
-  // full-analyzer gate re-derives the verdict and refuses, naming SL101.
-  service::MapCatalog catalog;
-  const topo::Topology t = topo::ring(4, 2);
-  auto snapshot = service::build_snapshot(t, {}, common::SimTime{});
-  ASSERT_TRUE(snapshot.deadlock_free);
-  ASSERT_TRUE(snapshot.compliant);
-  ASSERT_FALSE(
-      analysis::inject_down_up_turn(snapshot.map, snapshot.routes).empty());
-  const auto result = catalog.publish(std::move(snapshot));
-  EXPECT_FALSE(result.published());
-  EXPECT_EQ(result.status,
-            service::MapCatalog::PublishStatus::kRejectedUnsafe);
-  ASSERT_FALSE(result.gate_errors.empty());
-  bool names_sl101 = false;
-  for (const auto& d : result.gate_errors) {
-    names_sl101 = names_sl101 || d.code == "SL101";
-  }
-  EXPECT_TRUE(names_sl101);
-  EXPECT_EQ(catalog.current(), nullptr);
-  EXPECT_EQ(catalog.stats().rejected_unsafe, 1u);
 }
 
 }  // namespace

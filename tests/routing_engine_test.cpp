@@ -348,8 +348,6 @@ TEST(SnapshotCodec, V2RoundTripsTheOptimizerFlag) {
   options.source = "test";
   const service::MapSnapshot snapshot =
       service::build_snapshot(t, options, common::SimTime::ms(7));
-  EXPECT_TRUE(snapshot.deadlock_free);
-  EXPECT_TRUE(snapshot.compliant);
   EXPECT_TRUE(snapshot.routes.meta.optimized);
 
   const std::string bytes = service::encode_snapshot(snapshot);
@@ -490,8 +488,8 @@ TEST(SnapshotCodec, DecodesRoutesStoredOutOfKeyOrder) {
         service::decode_snapshot(with_records(bytes, first, permuted));
     EXPECT_TRUE(decoded.map.structurally_equal(snapshot.map));
     EXPECT_TRUE(same_tables(decoded.routes, snapshot.routes));
-    EXPECT_EQ(decoded.deadlock_free, snapshot.deadlock_free);
-    EXPECT_EQ(decoded.dependencies, snapshot.dependencies);
+    // The gate certifies the decoded table like the source's.
+    EXPECT_TRUE(service::MapCatalog().publish(decoded).published());
     // Re-encoding writes the key order back: the very bytes of the source.
     EXPECT_EQ(service::encode_snapshot(decoded), bytes) << "round " << round;
   }

@@ -1,23 +1,25 @@
 // The map service layer: versioned catalog, concurrent query engine,
 // refresh loop, and the binary snapshot codec.
 //
-//  * MapSnapshot — building bundles map, routes, and the deadlock verdict;
-//  * MapCatalog — monotonic epochs, unsafe-snapshot refusal, stale-epoch
-//    compare-and-publish, bounded history;
+//  * MapSnapshot — building bundles map and routes, unstamped;
+//  * MapCatalog — monotonic epochs, the gate's stamp, unsafe-table refusal
+//    with its errors, stale-epoch compare-and-publish, bounded history;
 //  * RouteQueryEngine — answers match the router, batches fan out over the
 //    thread pool, misses are counted;
 //  * concurrency — readers race a publisher (and a live RefreshLoop) and
 //    must only ever observe fully published epochs. These tests are the
 //    TSan CI job's primary target;
 //  * RefreshLoop — quiet ticks observe, a link death triggers remap +
-//    verify + redistribute + epoch swap;
+//    publish + redistribute, and a refused candidate is never distributed;
 //  * codec — round trip, checksum/truncation/magic failures, file I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
 
+#include "analysis/analyzer.hpp"
 #include "analysis/certificates.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -62,17 +64,16 @@ topo::WireId switch_wire(const Topology& t) {
 
 // --------------------------------------------------------------- snapshot --
 
-TEST(Snapshot, BuildBundlesRoutesWithTheSafetyVerdict) {
+TEST(Snapshot, BuildBundlesRoutesUnstamped) {
   const Topology t = topo::torus(3, 3, 1);
   const MapSnapshot snap = make_snapshot(t);
   EXPECT_EQ(snap.epoch, 0u);  // unassigned until published
-  EXPECT_TRUE(snap.deadlock_free);
-  EXPECT_TRUE(snap.compliant);
   EXPECT_EQ(snap.routes.routes.size(), 9u * 8u);
-  EXPECT_GT(snap.channels, 0u);
-  EXPECT_GT(snap.dependencies, 0u);
-  EXPECT_GT(snap.mean_hops, 0.0);
-  EXPECT_GE(snap.max_hops, 2);
+  EXPECT_GT(snap.routes.mean_hops(), 0.0);
+  EXPECT_GE(snap.routes.max_hops(), 2);
+  // The build certifies nothing: only the publish gate stamps a verdict.
+  EXPECT_FALSE(snap.deadlock_free);
+  EXPECT_FALSE(snap.compliant);
 }
 
 TEST(Snapshot, RootOverrideResolvesBySwitchName) {
@@ -90,10 +91,13 @@ TEST(Snapshot, EmptyRouteSetIsValid) {
   const NodeId s = t.add_switch();
   const NodeId h = t.add_host("only");
   t.connect(h, 0, s, 0);
-  const MapSnapshot snap = make_snapshot(t);
-  EXPECT_TRUE(snap.deadlock_free);
+  MapSnapshot snap = make_snapshot(t);
   EXPECT_TRUE(snap.routes.routes.empty());
-  EXPECT_EQ(snap.mean_hops, 0.0);
+  EXPECT_EQ(snap.routes.mean_hops(), 0.0);
+  MapCatalog catalog;
+  ASSERT_TRUE(catalog.publish(std::move(snap)).published());
+  EXPECT_TRUE(catalog.current()->deadlock_free);
+  EXPECT_TRUE(catalog.current()->compliant);
 }
 
 // ---------------------------------------------------------------- catalog --
@@ -119,51 +123,75 @@ TEST(MapCatalog, PublishAssignsMonotonicEpochs) {
 }
 
 TEST(MapCatalog, RefusesUnsafeSnapshots) {
-  const Topology t = topo::torus(3, 3, 1);
-  MapCatalog catalog;
-  catalog.publish(make_snapshot(t));
-
-  MapSnapshot unsafe = make_snapshot(t);
-  unsafe.deadlock_free = false;  // simulate a failed verification
-  const auto outcome = catalog.publish(std::move(unsafe));
-  EXPECT_EQ(outcome.status, MapCatalog::PublishStatus::kRejectedUnsafe);
-  EXPECT_EQ(outcome.epoch, 1u);          // the surviving epoch
-  EXPECT_EQ(catalog.epoch(), 1u);        // current unchanged
-  EXPECT_EQ(catalog.stats().rejected_unsafe, 1u);
-}
-
-TEST(MapCatalog, IncrementalGatePublishesAndRefusesLikeFull) {
   Topology t = topo::torus(3, 3, 1);
   MapCatalog catalog;
-
-  // A run of healthy candidates under wire churn: every one re-derived by
-  // the full analyzer, none rejected.
   ASSERT_TRUE(catalog.publish(make_snapshot(t, 1)).published());
   t.disconnect(switch_wire(t));
-  ASSERT_TRUE(catalog.publish(make_snapshot(t, 2)).published());
-  ASSERT_TRUE(catalog.publish(make_snapshot(t, 3)).published());
 
-  // A candidate whose route table breaks the UP*/DOWN* rule (the build
-  // verdict flags still say safe — only re-analysis can catch it) must be
-  // refused with the offending diagnostics attached.
-  MapSnapshot bad = make_snapshot(t, 4);
-  ASSERT_FALSE(analysis::inject_down_up_turn(bad.map, bad.routes).empty());
-  ASSERT_TRUE(bad.deadlock_free && bad.compliant);
-  const auto refused = catalog.publish(std::move(bad));
-  EXPECT_EQ(refused.status, MapCatalog::PublishStatus::kRejectedUnsafe);
-  EXPECT_EQ(refused.epoch, 3u);
-  ASSERT_FALSE(refused.gate_errors.empty());
-  bool has_route_error = false;
-  for (const auto& d : refused.gate_errors) {
-    has_route_error =
-        has_route_error || d.code == "SL101" || d.code == "SL201";
+  // Corrupt the table, not its flags: whatever a candidate claims, the
+  // certifier refuses it and names the route errors it found.
+  for (const bool claimed_safe : {false, true}) {
+    MapSnapshot bad = make_snapshot(t, 2);
+    ASSERT_FALSE(analysis::inject_down_up_turn(bad.map, bad.routes).empty());
+    bad.deadlock_free = claimed_safe;
+    bad.compliant = claimed_safe;
+    const auto refused = catalog.publish(std::move(bad));
+    EXPECT_EQ(refused.status, MapCatalog::PublishStatus::kRejectedUnsafe);
+    EXPECT_EQ(refused.epoch, 1u);  // the surviving epoch
+    EXPECT_TRUE(std::any_of(
+        refused.gate_errors.begin(), refused.gate_errors.end(),
+        [](const auto& d) { return d.code == "SL101" || d.code == "SL201"; }))
+        << "claimed safe: " << claimed_safe;
   }
-  EXPECT_TRUE(has_route_error);
-  EXPECT_EQ(catalog.stats().rejected_unsafe, 1u);
+  EXPECT_EQ(catalog.epoch(), 1u);  // current unchanged
+  EXPECT_EQ(catalog.stats().rejected_unsafe, 2u);
 
   // The gate recovers: the next healthy candidate publishes.
-  EXPECT_TRUE(catalog.publish(make_snapshot(t, 5)).published());
-  EXPECT_EQ(catalog.epoch(), 4u);
+  EXPECT_TRUE(catalog.publish(make_snapshot(t, 3)).published());
+  EXPECT_EQ(catalog.epoch(), 2u);
+}
+
+TEST(MapCatalog, PublishStampsTheGatesCertificates) {
+  // The candidate claims unsafe (as build_snapshot leaves it); the claim is
+  // neither trusted nor kept: the gate's certificates decide and are stamped.
+  const Topology t = topo::torus(3, 3, 1);
+  MapSnapshot candidate = make_snapshot(t);
+  ASSERT_FALSE(candidate.deadlock_free || candidate.compliant);
+  const analysis::AnalysisResult verdict =
+      analysis::analyze(candidate.map, candidate.routes);
+  MapCatalog catalog;
+  ASSERT_TRUE(catalog.publish(std::move(candidate)).published());
+  const SnapshotPtr published = catalog.current();
+  EXPECT_EQ(published->deadlock_free, verdict.deadlock.deadlock_free);
+  EXPECT_EQ(published->compliant, verdict.legality.all_legal);
+  EXPECT_TRUE(published->deadlock_free && published->compliant);
+}
+
+TEST(CatalogGate, PublishesCleanSnapshots) {
+  MapCatalog catalog;
+  const auto result = catalog.publish(make_snapshot(topo::ring(4, 2)));
+  EXPECT_TRUE(result.published());
+  EXPECT_TRUE(result.gate_errors.empty());
+}
+
+TEST(CatalogGate, RejectsTamperedRoutesDespiteHealthyFlags) {
+  // A candidate that claims safe but whose route table was corrupted: the
+  // gate re-derives the verdict from the table and refuses, naming SL101,
+  // and an empty catalog stays empty.
+  MapCatalog catalog;
+  MapSnapshot snapshot = make_snapshot(topo::ring(4, 2));
+  snapshot.deadlock_free = true;
+  snapshot.compliant = true;
+  ASSERT_FALSE(
+      analysis::inject_down_up_turn(snapshot.map, snapshot.routes).empty());
+  const auto result = catalog.publish(std::move(snapshot));
+  EXPECT_FALSE(result.published());
+  EXPECT_EQ(result.status, MapCatalog::PublishStatus::kRejectedUnsafe);
+  ASSERT_FALSE(result.gate_errors.empty());
+  EXPECT_TRUE(std::any_of(result.gate_errors.begin(), result.gate_errors.end(),
+                          [](const auto& d) { return d.code == "SL101"; }));
+  EXPECT_EQ(catalog.current(), nullptr);
+  EXPECT_EQ(catalog.stats().rejected_unsafe, 1u);
 }
 
 TEST(MapCatalog, SL502RefusesRepublishingAnArchivedEpoch) {
@@ -305,7 +333,6 @@ TEST(RouteQueryEngine, AnswersMatchTheRouterAndDeliver) {
   EXPECT_EQ(stats.epoch, 1u);
   EXPECT_EQ(stats.hosts, 9u);
   EXPECT_EQ(stats.routes, 72u);
-  EXPECT_TRUE(stats.deadlock_free);
 }
 
 TEST(RouteQueryEngine, MissesOnUnknownHostsAndEmptyCatalog) {
@@ -718,6 +745,39 @@ TEST(RefreshLoop, LinkDeathTriggersRemapVerifySwap) {
   EXPECT_FALSE(loop.tick().swapped());
 }
 
+TEST(RefreshLoop, RefusedCandidateIsNeverDistributed) {
+  // Two loops map the same fabric alike, name for name. The first
+  // publishes; the second catalog quarantines that map's edge switches
+  // until long after its bootstrap, so the gate's SL501 lint refuses the
+  // second candidate — whose tables must not have been handed out.
+  const Topology t = topo::torus(3, 3, 1);
+  RefreshConfig config;
+  config.master_name = t.name(t.hosts().front());
+  simnet::Network served_net(t);
+  MapCatalog served;
+  RefreshLoop served_loop(served_net, served, config);
+  ASSERT_TRUE(served_loop.bootstrap().distribution_complete);
+
+  MapCatalog::HealthStatus quarantine;
+  quarantine.state = MapCatalog::HealthState::kStaleServing;
+  quarantine.checked_at = SimTime::seconds(3600);
+  const SnapshotPtr map = served.current();
+  for (const auto& [key, route] : map->routes.routes) {
+    quarantine.quarantined.push_back(map->map.name(route.nodes[1]));
+  }
+  simnet::Network refused_net(t);
+  MapCatalog refused;
+  refused.set_health(std::move(quarantine));
+  RefreshLoop refused_loop(refused_net, refused, config);
+  const TickReport report = refused_loop.bootstrap();
+  EXPECT_EQ(report.publish_status, TickPublish::kRejectedUnsafe);
+  EXPECT_EQ(refused.gate_stats().rejected_stale_lints, 1u);
+  // No distribution: no table messages and none of their virtual time.
+  EXPECT_FALSE(report.distribution_complete);
+  EXPECT_LT(refused_loop.now(), served_loop.now());
+  EXPECT_LT(refused_net.counters().messages, served_net.counters().messages);
+}
+
 // ------------------------------------------------------ regional bootstrap --
 //
 // `sanmap serve --federate` publishes a regional map as epoch 1: it refuses
@@ -738,8 +798,6 @@ TEST(RegionalBootstrap, MergedMapCertifiesAtThePublishGate) {
   SnapshotOptions options;
   options.source = "regional-bootstrap";
   MapSnapshot snap = build_snapshot(result.map, options, result.elapsed);
-  EXPECT_TRUE(snap.deadlock_free);
-  EXPECT_TRUE(snap.compliant);
   EXPECT_FALSE(snap.routes.routes.empty());
 
   MapCatalog catalog;
@@ -747,6 +805,8 @@ TEST(RegionalBootstrap, MergedMapCertifiesAtThePublishGate) {
   ASSERT_TRUE(outcome.published());
   EXPECT_EQ(outcome.epoch, 1u);
   EXPECT_EQ(catalog.current()->options.source, "regional-bootstrap");
+  EXPECT_TRUE(catalog.current()->deadlock_free);
+  EXPECT_TRUE(catalog.current()->compliant);
 }
 
 TEST(RegionalBootstrap, NonOverlappingRegionsFailTheConnectivityCheck) {
@@ -768,6 +828,14 @@ TEST(RegionalBootstrap, NonOverlappingRegionsFailTheConnectivityCheck) {
 // (plus the property sweep at the bottom: random catalogs round-trip and
 // every single-byte corruption is rejected)
 
+/// A decoded snapshot carries no verdict of its own; the publish gate
+/// certifies it and stamps it as it stamps any healthy table.
+void expect_publishes_stamped(const MapSnapshot& decoded) {
+  MapCatalog catalog;
+  ASSERT_TRUE(catalog.publish(decoded).published());
+  EXPECT_TRUE(catalog.current()->deadlock_free && catalog.current()->compliant);
+}
+
 TEST(SnapshotCodec, RoundTripPreservesTheSnapshot) {
   Topology t = topo::torus(3, 3, 1);
   t.disconnect(switch_wire(t));  // a tombstone exercises compaction
@@ -781,7 +849,8 @@ TEST(SnapshotCodec, RoundTripPreservesTheSnapshot) {
   EXPECT_EQ(decoded.options.route_seed, 77u);
   EXPECT_EQ(decoded.options.source, "test");
   EXPECT_TRUE(decoded.map.structurally_equal(original.map));
-  EXPECT_TRUE(decoded.deadlock_free);
+  EXPECT_FALSE(decoded.deadlock_free);  // decode certifies nothing
+  expect_publishes_stamped(decoded);
   ASSERT_EQ(decoded.routes.routes.size(), original.routes.routes.size());
   for (const auto& [pair, route] : original.routes.routes) {
     const auto it = decoded.routes.routes.find(pair);
@@ -847,9 +916,8 @@ TEST(SnapshotCodecProperty, RandomCatalogsRoundTrip) {
     for (const auto& [pair, route] : original.routes.routes) {
       EXPECT_EQ(decoded.routes.routes.at(pair).turns, route.turns);
     }
-    // Decoding re-verifies rather than trusting stored claims.
-    EXPECT_TRUE(decoded.deadlock_free);
-    EXPECT_TRUE(decoded.compliant);
+    // The file stores no claims; the gate certifies what was decoded.
+    expect_publishes_stamped(decoded);
   }
 }
 

@@ -687,11 +687,17 @@ int cmd_query(int argc, const char* const* argv) {
             << snapshot.map.num_switches() << " switches, "
             << snapshot.map.num_wires() << " links\n";
   std::cout << "routes        : " << snapshot.routes.routes.size() << " (mean "
-            << common::fmt(snapshot.mean_hops, 2) << " hops, max "
-            << snapshot.max_hops << ")\n";
-  std::cout << "deadlock-free : " << (snapshot.deadlock_free ? "yes" : "NO")
-            << " (verified on load; " << snapshot.dependencies
-            << " channel dependencies)\n";
+            << common::fmt(snapshot.routes.mean_hops(), 2) << " hops, max "
+            << snapshot.routes.max_hops() << ")\n";
+  // The file carries no verdict: certify what was loaded, as the publish
+  // gate would.
+  const analysis::AnalysisResult verdict =
+      analysis::analyze(snapshot.map, snapshot.routes);
+  std::cout << "deadlock-free : "
+            << (verdict.deadlock.deadlock_free ? "yes" : "NO")
+            << " (certified on load; " << verdict.deadlock.dependencies
+            << " channel dependencies, " << verdict.report.errors()
+            << " analysis errors)\n";
 
   if (!flags.get("src").empty() || !flags.get("dst").empty()) {
     const auto answer = service::RouteQueryEngine::route_on(
@@ -719,7 +725,7 @@ int cmd_query(int argc, const char* const* argv) {
     }
     std::cout << "\n" << sample;
   }
-  return 0;
+  return verdict.clean() ? 0 : 2;
 }
 
 // Reads one lint input (file path or "-" for stdin) and dispatches on
